@@ -187,8 +187,15 @@ fn crawl_spec(opts: &Opts) -> Result<CrawlSpec, String> {
     })
 }
 
-fn do_crawl(g: &Graph, opts: &Opts, rng: &mut Xoshiro256pp) -> Result<Crawl, String> {
-    let outcome = sgr_sample::run_crawl(g, &crawl_spec(opts)?, rng)?;
+/// Crawls `g`, loaded from `path`: a bad crawl option is a usage error,
+/// a graph that cannot be crawled (no nodes) an input error naming `path`.
+fn do_crawl(g: &Graph, path: &str, opts: &Opts, rng: &mut Xoshiro256pp) -> Result<Crawl, CliError> {
+    let spec = crawl_spec(opts)?;
+    spec.validate()?;
+    let outcome = sgr_sample::run_crawl(g, &spec, rng).map_err(|e| CliError::Io {
+        path: path.to_string(),
+        source: e.into(),
+    })?;
     eprintln!(
         "crawled {} nodes ({} queries, {:.1}% of the graph)",
         outcome.crawl.num_queried(),
@@ -207,9 +214,10 @@ pub fn crawl(argv: &[String]) -> i32 {
         USAGE,
         &["graph", "out", "fraction", "walk", "k", "pf", "seed"],
         |o| {
-            let g = load(o.req("graph")?)?;
+            let path = o.req("graph")?;
+            let g = load(path)?;
             let mut rng = Xoshiro256pp::seed_from_u64(o.get_or("seed", 42u64)?);
-            let crawl = do_crawl(&g, o, &mut rng)?;
+            let crawl = do_crawl(&g, path, o, &mut rng)?;
             let sg = crawl.subgraph();
             let out = o.req("out")?;
             write_edge_list_file(&sg.graph, out).map_err(|e| CliError::io(out, e))?;
@@ -228,10 +236,9 @@ pub fn crawl(argv: &[String]) -> i32 {
 /// `sgr restore`.
 pub fn restore(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr restore --graph FILE --out FILE
-  [--fraction F=0.1] [--rc 500] [--no-rewire true] [--threads N=1] [--seed N]
+  [--fraction F=0.1] [--rc 500] [--no-rewire true] [--seed N]
   [--checkpoint-dir DIR] [--checkpoint-every ATTEMPTS]
-  (--threads 0 = all cores; results are identical at every thread count.
-   --checkpoint-dir persists resumable state at every stage boundary —
+  (--checkpoint-dir persists resumable state at every stage boundary —
    plus every ATTEMPTS rewiring attempts — for `sgr resume`)";
     run(
         argv,
@@ -242,19 +249,19 @@ pub fn restore(argv: &[String]) -> i32 {
             "fraction",
             "rc",
             "no-rewire",
-            "threads",
             "seed",
             "checkpoint-dir",
             "checkpoint-every",
         ],
         |o| {
-            let g = load(o.req("graph")?)?;
+            let path = o.req("graph")?;
+            let g = load(path)?;
             let mut rng = Xoshiro256pp::seed_from_u64(o.get_or("seed", 42u64)?);
-            let crawl = do_crawl(&g, o, &mut rng)?;
+            let crawl = do_crawl(&g, path, o, &mut rng)?;
             let cfg = RestoreConfig {
                 rewiring_coefficient: o.get_or("rc", 500.0)?,
                 rewire: !o.get_or("no-rewire", false)?,
-                threads: o.get_or("threads", 1usize)?,
+                threads: 1,
             };
             let r = match checkpoint_policy(o)? {
                 None => core_restore(&crawl, &cfg, &mut rng)?,
@@ -274,30 +281,18 @@ pub fn restore(argv: &[String]) -> i32 {
 /// `sgr resume`.
 pub fn resume(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr resume --checkpoint FILE --out FILE
-  [--threads N] [--checkpoint-dir DIR] [--checkpoint-every ATTEMPTS]
+  [--checkpoint-dir DIR] [--checkpoint-every ATTEMPTS]
   (continues an interrupted `sgr restore --checkpoint-dir ...` run; the
-   output is bitwise-identical to the uninterrupted run. --threads may
-   override the checkpointed engine choice — results never change.)";
+   output is bitwise-identical to the uninterrupted run.)";
     run(
         argv,
         USAGE,
-        &[
-            "checkpoint",
-            "out",
-            "threads",
-            "checkpoint-dir",
-            "checkpoint-every",
-        ],
+        &["checkpoint", "out", "checkpoint-dir", "checkpoint-every"],
         |o| {
             let ckpt = o.req("checkpoint")?;
-            let threads = match o.opt("threads") {
-                None => None,
-                Some(_) => Some(o.get_req::<usize>("threads")?),
-            };
             let policy = checkpoint_policy(o)?;
             let r = resume_from_checkpoint(
                 Path::new(ckpt),
-                threads,
                 policy.as_ref(),
                 &mut ConstructScratch::new(),
             )?;
@@ -310,7 +305,6 @@ pub fn resume(argv: &[String]) -> i32 {
 pub fn serve(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr serve --dir DIR [--listen ADDR=127.0.0.1:7070] [--workers N=2]
   [--memory-budget BYTES] [--max-frame-bytes BYTES] [--checkpoint-every N]
-  [--max-threads N]
   (--resume-dir DIR is an alias for --dir; either way the server re-adopts
    every non-terminal job found under the state root on startup, resuming
    from each job's newest durable checkpoint. Runs until a shutdown
@@ -326,7 +320,6 @@ pub fn serve(argv: &[String]) -> i32 {
             "memory-budget",
             "max-frame-bytes",
             "checkpoint-every",
-            "max-threads",
         ],
         |o| {
             let dir = match (o.opt("dir"), o.opt("resume-dir")) {
@@ -351,7 +344,6 @@ pub fn serve(argv: &[String]) -> i32 {
                 memory_budget: o.get_or("memory-budget", defaults.memory_budget)?,
                 default_checkpoint_every: o
                     .get_or("checkpoint-every", defaults.default_checkpoint_every)?,
-                max_threads_per_job: o.get_or("max-threads", defaults.max_threads_per_job)?,
             };
             let workers = cfg.workers.max(1);
             let handle = sgr_serve::start(cfg).map_err(|e| CliError::io(&dir, e))?;
@@ -375,7 +367,7 @@ fn connect(o: &Opts) -> Result<Client, CliError> {
 pub fn submit(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr submit --addr HOST:PORT --graph FILE
   [--fraction F=0.1] [--walk rw|bfs|snowball|ff|nbrw|mhrw] [--k 50] [--pf 0.7]
-  [--rc 500] [--no-rewire true] [--threads N=1] [--seed N=42] [--tenant NAME]
+  [--rc 500] [--no-rewire true] [--seed N=42] [--tenant NAME]
   [--checkpoint-every N] [--abort-after N]
   (submits a crawl-and-restore job; the fetched result is byte-identical
    to `sgr restore` on the same inputs and seed. The job id is printed on
@@ -393,7 +385,6 @@ pub fn submit(argv: &[String]) -> i32 {
             "pf",
             "rc",
             "no-rewire",
-            "threads",
             "seed",
             "tenant",
             "checkpoint-every",
@@ -411,7 +402,7 @@ pub fn submit(argv: &[String]) -> i32 {
                 burn_prob: spec.burn_prob,
                 rewiring_coefficient: o.get_or("rc", 500.0)?,
                 rewire: !o.get_or("no-rewire", false)?,
-                threads: o.get_or("threads", 1u64)?,
+                threads: 1,
                 seed: o.get_or("seed", 42u64)?,
                 checkpoint_every: o.get_or("checkpoint-every", 0u64)?,
                 abort_after: o.get_or("abort-after", 0u64)?,

@@ -14,7 +14,8 @@
 //!    4 = rewiring;
 //! 2. **RNG state**: the four `u64` words of the sequential
 //!    `Xoshiro256++` stream at the checkpoint instant;
-//! 3. **config**: rewiring coefficient (`f64`), rewire flag, thread count;
+//! 3. **config**: rewiring coefficient (`f64`), rewire flag, thread count
+//!    (kept for format compatibility; read back but never used);
 //! 4. **stats so far**: phase wall times, checkpoint overhead, and the
 //!    cumulative rewiring counters;
 //! 5. **subgraph** `G'`: adjacency (degree slice + flat neighbor slice,
@@ -335,6 +336,7 @@ fn get_stats(r: &mut PayloadReader) -> Result<RestoreStats, SnapshotError> {
             final_distance: r.get_f64()?,
         },
         candidate_edges: r.get_u64()? as usize,
+        rewire_init_secs: 0.0,
         nodes: 0,
         edges: 0,
     })

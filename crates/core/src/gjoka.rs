@@ -12,7 +12,7 @@
 use crate::{RestoreConfig, RestoreError, RestoreStats};
 use sgr_dk::construct::{wire_stubs_with, ConstructScratch};
 use sgr_dk::extract::JointDegreeMatrix;
-use sgr_dk::rewire::RewireStats;
+use sgr_dk::rewire::{RewireEngine, RewireStats};
 use sgr_estimate::{estimate_all, Estimates};
 use sgr_graph::{Graph, NodeId};
 use sgr_sample::Crawl;
@@ -36,8 +36,7 @@ pub struct GjokaOutput {
 ///
 /// Shares [`RestoreConfig`] with the proposed method:
 /// `rewiring_coefficient` is `R_C` (500 in the paper), `rewire: false`
-/// stops after construction, and `threads` selects the rewiring engine
-/// (results are identical at every thread count).
+/// stops after construction, and `threads` is ignored.
 pub fn generate(
     crawl: &Crawl,
     cfg: &RestoreConfig,
@@ -90,30 +89,29 @@ pub fn generate_with(
     let construct_secs = t1.elapsed().as_secs_f64();
 
     // Rewiring with every edge as a candidate (Ẽ_rew = Ẽ).
-    let t2 = std::time::Instant::now();
     let candidates: Vec<(NodeId, NodeId)> = added;
     let candidate_edges = candidates.len();
-    let (graph, rewire_stats) = if cfg.rewire && candidate_edges > 0 {
+    let (graph, rewire_stats, rewire_init_secs, rewire_secs) = if cfg.rewire && candidate_edges > 0
+    {
+        let t2 = std::time::Instant::now();
         let mut target_c = estimates.clustering.clone();
         target_c.resize(dv.k_max + 1, 0.0);
-        crate::run_rewiring(
-            g,
-            candidates,
-            &target_c,
-            cfg.rewiring_coefficient,
-            cfg.threads,
-            rng,
-        )
+        let mut engine = RewireEngine::new(g, candidates, &target_c);
+        let init_secs = t2.elapsed().as_secs_f64();
+        let t3 = std::time::Instant::now();
+        let stats = engine.run(cfg.rewiring_coefficient, rng);
+        let run_secs = t3.elapsed().as_secs_f64();
+        (engine.into_graph(), stats, init_secs, run_secs)
     } else {
-        (g, RewireStats::default())
+        (g, RewireStats::default(), 0.0, 0.0)
     };
-    let rewire_secs = t2.elapsed().as_secs_f64();
 
     let stats = RestoreStats {
         target_secs,
         construct_secs,
         stub_matching_secs,
         rewire_secs,
+        rewire_init_secs,
         rewire_stats,
         nodes: graph.num_nodes(),
         edges: graph.num_edges(),
@@ -190,34 +188,6 @@ mod tests {
         let crawl = Crawl::default();
         let mut rng = Xoshiro256pp::seed_from_u64(4);
         assert!(generate(&crawl, &cfg(10.0), &mut rng).is_err());
-    }
-
-    #[test]
-    fn threads_knob_never_changes_results() {
-        let run_with = |threads: usize| {
-            let mut rng = Xoshiro256pp::seed_from_u64(9);
-            let g = sgr_gen::holme_kim(500, 4, 0.5, &mut rng).unwrap();
-            let crawl = random_walk_until_fraction(&g, 0.1, &mut rng);
-            let cfg = RestoreConfig {
-                rewiring_coefficient: 10.0,
-                rewire: true,
-                threads,
-            };
-            generate(&crawl, &cfg, &mut rng).unwrap()
-        };
-        let base = run_with(1);
-        for threads in [2, 4] {
-            let r = run_with(threads);
-            assert_eq!(
-                base.graph.edges().collect::<Vec<_>>(),
-                r.graph.edges().collect::<Vec<_>>(),
-                "threads = {threads} changed the generated graph"
-            );
-            assert_eq!(
-                base.stats.rewire_stats.final_distance.to_bits(),
-                r.stats.rewire_stats.final_distance.to_bits()
-            );
-        }
     }
 
     #[test]

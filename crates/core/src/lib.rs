@@ -42,7 +42,6 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use checkpoint::{StageData, StageRef};
-use sgr_dk::rewire::parallel::ParallelRewireEngine;
 use sgr_dk::rewire::{RewireEngine, RewireStats};
 use sgr_estimate::{estimate_all, EstimateError, Estimates};
 use sgr_graph::{CsrGraph, Graph, NodeId, SnapshotError};
@@ -59,11 +58,11 @@ pub struct RestoreConfig {
     pub rewiring_coefficient: f64,
     /// Set false to stop after Phase 3 (used by ablations).
     pub rewire: bool,
-    /// Rewiring worker threads: `1` (default) runs the sequential
-    /// [`RewireEngine`]; any other value runs the speculative-parallel
-    /// [`ParallelRewireEngine`] with that many workers (`0` = all
-    /// available cores). The engines are seed-for-seed bitwise
-    /// equivalent, so this knob changes wall time only, never results.
+    /// Ignored. Rewiring always runs the sequential [`RewireEngine`], and
+    /// the property kernels take their width from
+    /// `sgr_props::PropsConfig::threads`, never from here. The field stays
+    /// so existing callers compile and so checkpoints keep their encoding:
+    /// its value is still written and read back, with no effect.
     pub threads: usize,
 }
 
@@ -74,29 +73,6 @@ impl Default for RestoreConfig {
             rewire: true,
             threads: 1,
         }
-    }
-}
-
-/// Phase-4 rewiring shared by [`restore`] and [`gjoka::generate`]:
-/// dispatches to the sequential or speculative-parallel engine per
-/// `threads` (see [`RestoreConfig::threads`]; results are identical
-/// either way).
-pub(crate) fn run_rewiring(
-    graph: Graph,
-    candidates: Vec<(NodeId, NodeId)>,
-    target_c: &[f64],
-    rc: f64,
-    threads: usize,
-    rng: &mut Xoshiro256pp,
-) -> (Graph, RewireStats) {
-    if threads == 1 {
-        let mut engine = RewireEngine::new(graph, candidates, target_c);
-        let stats = engine.run(rc, rng);
-        (engine.into_graph(), stats)
-    } else {
-        let mut engine = ParallelRewireEngine::new(graph, candidates, target_c, threads);
-        let stats = engine.run(rc, rng);
-        (engine.into_graph(), stats)
     }
 }
 
@@ -185,8 +161,13 @@ pub struct RestoreStats {
     /// half-edges class by class), excluding node addition and
     /// degree-sequence shuffling.
     pub stub_matching_secs: f64,
-    /// Wall time of Phase 4 (rewiring).
+    /// Wall time of Phase 4's attempts (rewiring proper).
     pub rewire_secs: f64,
+    /// Wall time of building the rewiring engine (multiplicity index and
+    /// initial clustering) before Phase 4's first attempt. Not
+    /// checkpointed: a resumed run counts the engine build of its own
+    /// process only.
+    pub rewire_init_secs: f64,
     /// Rewiring detail.
     pub rewire_stats: RewireStats,
     /// Number of nodes in the generated graph.
@@ -208,7 +189,11 @@ impl RestoreStats {
     /// Total generation time (the paper's Table IV "Total"); checkpoint
     /// I/O is tracked separately in `checkpoint_secs`.
     pub fn total_secs(&self) -> f64 {
-        self.estimate_secs + self.target_secs + self.construct_secs + self.rewire_secs
+        self.estimate_secs
+            + self.target_secs
+            + self.construct_secs
+            + self.rewire_init_secs
+            + self.rewire_secs
     }
 }
 
@@ -406,97 +391,9 @@ fn stage_construct(
     Ok((dv.k_max, built.graph, built.added_edges))
 }
 
-/// Either rewiring engine behind one face: the engines are seed-for-seed
-/// bitwise equivalent and expose identical checkpoint state, so the
-/// driver (and the checkpoint format) never cares which one is running.
-enum Engine {
-    Sequential(Box<RewireEngine>),
-    Parallel(Box<ParallelRewireEngine>),
-}
-
-impl Engine {
-    fn new(
-        graph: Graph,
-        candidates: Vec<(NodeId, NodeId)>,
-        target_c: &[f64],
-        threads: usize,
-    ) -> Self {
-        if threads == 1 {
-            Engine::Sequential(Box::new(RewireEngine::new(graph, candidates, target_c)))
-        } else {
-            Engine::Parallel(Box::new(ParallelRewireEngine::new(
-                graph, candidates, target_c, threads,
-            )))
-        }
-    }
-
-    fn run_attempts(&mut self, attempts: u64, rng: &mut Xoshiro256pp) -> RewireStats {
-        match self {
-            Engine::Sequential(e) => e.run_attempts(attempts, rng),
-            Engine::Parallel(e) => e.run_attempts(attempts, rng),
-        }
-    }
-
-    fn into_graph(self) -> Graph {
-        match self {
-            Engine::Sequential(e) => e.into_graph(),
-            Engine::Parallel(e) => e.into_graph(),
-        }
-    }
-
-    fn graph(&self) -> &Graph {
-        match self {
-            Engine::Sequential(e) => e.graph(),
-            Engine::Parallel(e) => e.graph(),
-        }
-    }
-
-    fn slots(&self) -> &[(NodeId, NodeId)] {
-        match self {
-            Engine::Sequential(e) => e.slots(),
-            Engine::Parallel(e) => e.slots(),
-        }
-    }
-
-    fn clustering_sums(&self) -> &[f64] {
-        match self {
-            Engine::Sequential(e) => e.clustering_sums(),
-            Engine::Parallel(e) => e.clustering_sums(),
-        }
-    }
-
-    fn dist_raw(&self) -> f64 {
-        match self {
-            Engine::Sequential(e) => e.dist_raw(),
-            Engine::Parallel(e) => e.dist_raw(),
-        }
-    }
-
-    fn bucket_state(&self) -> Vec<Vec<(u32, u8)>> {
-        match self {
-            Engine::Sequential(e) => e.bucket_state(),
-            Engine::Parallel(e) => e.bucket_state(),
-        }
-    }
-
-    fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
-        match self {
-            Engine::Sequential(e) => e.restore_float_state(s, dist_raw),
-            Engine::Parallel(e) => e.restore_float_state(s, dist_raw),
-        }
-    }
-
-    fn restore_bucket_state(&mut self, buckets: Vec<Vec<(u32, u8)>>) -> Result<(), String> {
-        match self {
-            Engine::Sequential(e) => e.restore_bucket_state(buckets),
-            Engine::Parallel(e) => e.restore_bucket_state(buckets),
-        }
-    }
-}
-
 /// The rewiring loop: runs `total` attempts in checkpoint-sized chunks.
 /// Chunking is bitwise-neutral (`run_attempts` in pieces reproduces one
-/// big run exactly — the engines' own equivalence tests pin this), so
+/// big run exactly — the engine's own tests pin this), so
 /// checkpointed, resumed, and straight-through runs all land on the same
 /// graph. `driver.stats.rewire_stats.attempts` is the committed-attempt
 /// cursor, carried across processes by the checkpoint.
@@ -505,7 +402,7 @@ fn run_rewire_loop(
     subgraph: &Subgraph,
     estimates: &Estimates,
     k_max: usize,
-    mut engine: Engine,
+    mut engine: RewireEngine,
     total: u64,
     rng: &mut Xoshiro256pp,
 ) -> Result<Graph, RestoreError> {
@@ -572,6 +469,20 @@ fn finish(
     }
 }
 
+/// Builds the rewiring engine (multiplicity index and initial
+/// clustering), timed into `rewire_init_secs`.
+fn build_engine(
+    driver: &mut Driver<'_>,
+    graph: Graph,
+    candidates: Vec<(NodeId, NodeId)>,
+    target_c: &[f64],
+) -> RewireEngine {
+    let t = Instant::now();
+    let engine = RewireEngine::new(graph, candidates, target_c);
+    driver.stats.rewire_init_secs += t.elapsed().as_secs_f64();
+    engine
+}
+
 /// Stages 2..4 (after estimation).
 fn run_after_estimate(
     driver: &mut Driver<'_>,
@@ -617,7 +528,7 @@ fn run_after_construct(
     }
     let total = (driver.cfg.rewiring_coefficient * candidate_edges as f64).ceil() as u64;
     let target_c = clustering_target(&estimates, k_max);
-    let engine = Engine::new(graph, added_edges, &target_c, driver.cfg.threads);
+    let engine = build_engine(driver, graph, added_edges, &target_c);
     let graph = run_rewire_loop(driver, &subgraph, &estimates, k_max, engine, total, rng)?;
     Ok(finish(driver.stats, subgraph, estimates, graph))
 }
@@ -704,17 +615,14 @@ pub fn restore_with_checkpoints_observed(
 /// a result bitwise-identical to the run that was interrupted (same final
 /// edge multiset, same RNG stream, same stats counters).
 ///
-/// `threads` optionally overrides the checkpointed engine choice — safe
-/// because the engines are seed-for-seed equivalent. A `policy` makes the
-/// resumed run itself checkpointable (file numbering continues where the
-/// interrupted run stopped).
+/// A `policy` makes the resumed run itself checkpointable (file numbering
+/// continues where the interrupted run stopped).
 pub fn resume_from_checkpoint(
     path: &Path,
-    threads: Option<usize>,
     policy: Option<&CheckpointPolicy>,
     scratch: &mut sgr_dk::ConstructScratch,
 ) -> Result<Restored, RestoreError> {
-    resume_from_checkpoint_observed(path, threads, policy, scratch, &mut NoopObserver)
+    resume_from_checkpoint_observed(path, policy, scratch, &mut NoopObserver)
 }
 
 /// [`resume_from_checkpoint`] with a [`PipelineObserver`] attached —
@@ -723,19 +631,14 @@ pub fn resume_from_checkpoint(
 /// this).
 pub fn resume_from_checkpoint_observed(
     path: &Path,
-    threads: Option<usize>,
     policy: Option<&CheckpointPolicy>,
     scratch: &mut sgr_dk::ConstructScratch,
     observer: &mut dyn PipelineObserver,
 ) -> Result<Restored, RestoreError> {
     let ckpt = checkpoint::read_checkpoint(path)?;
-    let mut cfg = ckpt.cfg;
-    if let Some(t) = threads {
-        cfg.threads = t;
-    }
     let mut rng = Xoshiro256pp::from_state(ckpt.rng_state);
     let mut driver = Driver {
-        cfg,
+        cfg: ckpt.cfg,
         policy,
         stats: ckpt.stats,
         observer,
@@ -772,7 +675,7 @@ pub fn resume_from_checkpoint_observed(
             total_attempts,
         } => {
             let target_c = clustering_target(&estimates, k_max);
-            let mut engine = Engine::new(graph, slots, &target_c, driver.cfg.threads);
+            let mut engine = build_engine(&mut driver, graph, slots, &target_c);
             engine
                 .restore_float_state(&clustering_sums, dist_raw)
                 .map_err(SnapshotError::Corrupt)?;
@@ -903,45 +806,12 @@ mod tests {
     }
 
     #[test]
-    fn threads_knob_never_changes_results() {
-        // The whole point of the parallel engine's contract: the pipeline
-        // output is a function of the seed alone, not of the thread
-        // count.
-        let run_with = |threads: usize| {
-            let mut rng = Xoshiro256pp::seed_from_u64(8);
-            let g = sgr_gen::holme_kim(500, 4, 0.5, &mut rng).unwrap();
-            let crawl = random_walk_until_fraction(&g, 0.1, &mut rng);
-            let cfg = RestoreConfig {
-                rewiring_coefficient: 10.0,
-                rewire: true,
-                threads,
-            };
-            restore(&crawl, &cfg, &mut rng).unwrap()
-        };
-        let base = run_with(1);
-        for threads in [0, 2, 4] {
-            let r = run_with(threads);
-            assert_eq!(
-                base.graph.edges().collect::<Vec<_>>(),
-                r.graph.edges().collect::<Vec<_>>(),
-                "threads = {threads} changed the restored graph"
-            );
-            assert_eq!(
-                base.stats.rewire_stats.accepted, r.stats.rewire_stats.accepted,
-                "threads = {threads} changed the accepted count"
-            );
-            assert_eq!(
-                base.stats.rewire_stats.final_distance.to_bits(),
-                r.stats.rewire_stats.final_distance.to_bits(),
-                "threads = {threads} changed the final distance"
-            );
-        }
-    }
-
-    #[test]
     fn stats_totals_are_consistent() {
         let (_, r) = pipeline(400, 0.1, 7, 5.0);
         assert!(r.stats.total_secs() >= r.stats.rewire_secs);
+        // The engine build is timed and counted in the total.
+        assert!(r.stats.rewire_init_secs > 0.0);
+        assert!(r.stats.total_secs() >= r.stats.rewire_init_secs + r.stats.rewire_secs);
         assert_eq!(r.stats.nodes, r.graph.num_nodes());
         assert_eq!(r.stats.edges, r.graph.num_edges());
         assert!(r.stats.candidate_edges <= r.stats.edges);

@@ -7,9 +7,7 @@
 //! The `Interrupted` abort drops all in-memory pipeline state, so these
 //! tests prove the checkpoint payload is *complete*: adjacency order,
 //! RNG stream position, incremental float accumulators, and degree-bucket
-//! order all survive the round trip, for the sequential and the
-//! speculative-parallel engine alike (`SGR_REWIRE_TEST_THREADS` narrows
-//! the matrix to one width, as in the dk suite).
+//! order all survive the round trip.
 
 use std::path::PathBuf;
 
@@ -47,22 +45,13 @@ fn fixed_crawl() -> (sgr_sample::Crawl, Xoshiro256pp) {
     (crawl, rng)
 }
 
+/// The pipeline settings under test; `threads` is carried (and
+/// checkpointed) but has no effect.
 fn cfg(threads: usize) -> RestoreConfig {
     RestoreConfig {
         rewiring_coefficient: 10.0,
         rewire: true,
         threads,
-    }
-}
-
-/// Thread widths under test: `{1, 4}` by default, or the single width
-/// named by `SGR_REWIRE_TEST_THREADS` (the CI override).
-fn test_thread_counts() -> Vec<usize> {
-    match std::env::var("SGR_REWIRE_TEST_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("SGR_REWIRE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 4],
     }
 }
 
@@ -91,46 +80,43 @@ fn run_until_crash(threads: usize, every: u64, n: u64, dir: PathBuf) -> PathBuf 
 }
 
 /// Checkpointing must be observation-only: a fully checkpointed run lands
-/// on the same golden hash as the plain run, at every thread width.
+/// on the same golden hash as the plain run.
 #[test]
 fn checkpointed_run_is_bitwise_identical_to_plain_run() {
-    for threads in test_thread_counts() {
-        let (crawl, mut rng) = fixed_crawl();
-        let plain = restore(&crawl, &cfg(threads), &mut rng).unwrap();
-        assert_eq!(edge_multiset_hash(&plain.graph), GOLDEN);
+    let (crawl, mut rng) = fixed_crawl();
+    let plain = restore(&crawl, &cfg(1), &mut rng).unwrap();
+    assert_eq!(edge_multiset_hash(&plain.graph), GOLDEN);
 
-        let dir = ckpt_dir(&format!("observe-{threads}"));
-        let (crawl, mut rng) = fixed_crawl();
-        let policy = CheckpointPolicy {
-            dir: dir.clone(),
-            every: EVERY,
-            abort_after: None,
-        };
-        let mut scratch = sgr_dk::ConstructScratch::new();
-        let ckpt = restore_with_checkpoints(&crawl, &cfg(threads), &mut rng, &mut scratch, &policy)
-            .unwrap();
-        assert_eq!(
-            edge_multiset_hash(&ckpt.graph),
-            GOLDEN,
-            "checkpoint writes perturbed the stream (threads {threads})"
-        );
-        // Three stage boundaries plus at least three mid-rewire points —
-        // the cadence the kill matrix below relies on.
-        assert!(
-            ckpt.stats.checkpoints_written >= 6,
-            "expected >= 6 checkpoints, wrote {}",
-            ckpt.stats.checkpoints_written
-        );
-        assert_eq!(
-            ckpt.stats.rewire_stats.accepted,
-            plain.stats.rewire_stats.accepted
-        );
-        assert_eq!(
-            ckpt.stats.rewire_stats.final_distance.to_bits(),
-            plain.stats.rewire_stats.final_distance.to_bits()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = ckpt_dir("observe");
+    let (crawl, mut rng) = fixed_crawl();
+    let policy = CheckpointPolicy {
+        dir: dir.clone(),
+        every: EVERY,
+        abort_after: None,
+    };
+    let mut scratch = sgr_dk::ConstructScratch::new();
+    let ckpt = restore_with_checkpoints(&crawl, &cfg(1), &mut rng, &mut scratch, &policy).unwrap();
+    assert_eq!(
+        edge_multiset_hash(&ckpt.graph),
+        GOLDEN,
+        "checkpoint writes perturbed the stream"
+    );
+    // Three stage boundaries plus at least three mid-rewire points —
+    // the cadence the kill matrix below relies on.
+    assert!(
+        ckpt.stats.checkpoints_written >= 6,
+        "expected >= 6 checkpoints, wrote {}",
+        ckpt.stats.checkpoints_written
+    );
+    assert_eq!(
+        ckpt.stats.rewire_stats.accepted,
+        plain.stats.rewire_stats.accepted
+    );
+    assert_eq!(
+        ckpt.stats.rewire_stats.final_distance.to_bits(),
+        plain.stats.rewire_stats.final_distance.to_bits()
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The exhaustive kill matrix: crash after *every* checkpoint the run
@@ -139,76 +125,65 @@ fn checkpointed_run_is_bitwise_identical_to_plain_run() {
 /// the golden hash and the uninterrupted run's rewiring counters.
 #[test]
 fn kill_and_resume_at_every_checkpoint_matches_golden() {
-    for threads in test_thread_counts() {
-        // Learn the checkpoint count from one uninterrupted run.
-        let dir = ckpt_dir(&format!("census-{threads}"));
-        let (crawl, mut rng) = fixed_crawl();
-        let policy = CheckpointPolicy {
-            dir: dir.clone(),
-            every: EVERY,
-            abort_after: None,
-        };
-        let mut scratch = sgr_dk::ConstructScratch::new();
-        let baseline =
-            restore_with_checkpoints(&crawl, &cfg(threads), &mut rng, &mut scratch, &policy)
-                .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let total_checkpoints = baseline.stats.checkpoints_written;
+    // Learn the checkpoint count from one uninterrupted run.
+    let dir = ckpt_dir("census");
+    let (crawl, mut rng) = fixed_crawl();
+    let policy = CheckpointPolicy {
+        dir: dir.clone(),
+        every: EVERY,
+        abort_after: None,
+    };
+    let mut scratch = sgr_dk::ConstructScratch::new();
+    let baseline =
+        restore_with_checkpoints(&crawl, &cfg(1), &mut rng, &mut scratch, &policy).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let total_checkpoints = baseline.stats.checkpoints_written;
 
-        for n in 1..=total_checkpoints {
-            let dir = ckpt_dir(&format!("kill-{threads}-{n}"));
-            let checkpoint = run_until_crash(threads, EVERY, n, dir.clone());
-            let mut scratch = sgr_dk::ConstructScratch::new();
-            let resumed = resume_from_checkpoint(&checkpoint, None, None, &mut scratch)
-                .unwrap_or_else(|e| panic!("resume from checkpoint {n} failed: {e}"));
-            assert_eq!(
-                edge_multiset_hash(&resumed.graph),
-                GOLDEN,
-                "kill after checkpoint {n}/{total_checkpoints} (threads {threads}) \
-                 diverged on resume"
-            );
-            assert_eq!(
-                resumed.stats.rewire_stats.attempts,
-                baseline.stats.rewire_stats.attempts
-            );
-            assert_eq!(
-                resumed.stats.rewire_stats.accepted,
-                baseline.stats.rewire_stats.accepted
-            );
-            assert_eq!(
-                resumed.stats.rewire_stats.final_distance.to_bits(),
-                baseline.stats.rewire_stats.final_distance.to_bits()
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-}
-
-/// Cross-engine resume: a checkpoint written by one engine must resume
-/// losslessly under the other (the payload is engine-agnostic).
-#[test]
-fn checkpoint_resumes_across_engines() {
-    for (write_threads, resume_threads) in [(1usize, 4usize), (4, 1)] {
-        // Checkpoint 5 is deep inside rewiring (after 1 estimated +
-        // 1 targeted + 1 constructed + 2 mid-rewire writes).
-        let dir = ckpt_dir(&format!("cross-{write_threads}-{resume_threads}"));
-        let checkpoint = run_until_crash(write_threads, EVERY, 5, dir.clone());
-        assert!(
-            checkpoint.to_string_lossy().contains("rewiring"),
-            "expected a mid-rewire checkpoint, got {}",
-            checkpoint.display()
-        );
+    for n in 1..=total_checkpoints {
+        let dir = ckpt_dir(&format!("kill-{n}"));
+        let checkpoint = run_until_crash(1, EVERY, n, dir.clone());
         let mut scratch = sgr_dk::ConstructScratch::new();
-        let resumed =
-            resume_from_checkpoint(&checkpoint, Some(resume_threads), None, &mut scratch).unwrap();
+        let resumed = resume_from_checkpoint(&checkpoint, None, &mut scratch)
+            .unwrap_or_else(|e| panic!("resume from checkpoint {n} failed: {e}"));
         assert_eq!(
             edge_multiset_hash(&resumed.graph),
             GOLDEN,
-            "resume written by {write_threads}-thread engine under \
-             {resume_threads} threads diverged"
+            "kill after checkpoint {n}/{total_checkpoints} diverged on resume"
+        );
+        assert_eq!(
+            resumed.stats.rewire_stats.attempts,
+            baseline.stats.rewire_stats.attempts
+        );
+        assert_eq!(
+            resumed.stats.rewire_stats.accepted,
+            baseline.stats.rewire_stats.accepted
+        );
+        assert_eq!(
+            resumed.stats.rewire_stats.final_distance.to_bits(),
+            baseline.stats.rewire_stats.final_distance.to_bits()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Format compatibility: a checkpoint whose config carries a thread
+/// count other than 1 (as written when `threads` still chose a rewiring
+/// engine) loads and resumes to the unchanged golden.
+#[test]
+fn checkpoint_with_threads_word_resumes_to_golden() {
+    // Checkpoint 5 is deep inside rewiring (after 1 estimated +
+    // 1 targeted + 1 constructed + 2 mid-rewire writes).
+    let dir = ckpt_dir("threads-word");
+    let checkpoint = run_until_crash(4, EVERY, 5, dir.clone());
+    assert!(
+        checkpoint.to_string_lossy().contains("rewiring"),
+        "expected a mid-rewire checkpoint, got {}",
+        checkpoint.display()
+    );
+    let mut scratch = sgr_dk::ConstructScratch::new();
+    let resumed = resume_from_checkpoint(&checkpoint, None, &mut scratch).unwrap();
+    assert_eq!(edge_multiset_hash(&resumed.graph), GOLDEN);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A resumed run under a fresh policy keeps checkpointing — and a resume
@@ -225,12 +200,12 @@ fn resumed_run_can_itself_be_killed_and_resumed() {
         abort_after: Some(first_checkpoint_count(&first) + 2),
     };
     let mut scratch = sgr_dk::ConstructScratch::new();
-    let second = match resume_from_checkpoint(&first, None, Some(&policy), &mut scratch) {
+    let second = match resume_from_checkpoint(&first, Some(&policy), &mut scratch) {
         Err(RestoreError::Interrupted { checkpoint }) => checkpoint,
         Ok(_) => panic!("second crash never fired"),
         Err(other) => panic!("unexpected error: {other}"),
     };
-    let resumed = resume_from_checkpoint(&second, None, None, &mut scratch).unwrap();
+    let resumed = resume_from_checkpoint(&second, None, &mut scratch).unwrap();
     assert_eq!(edge_multiset_hash(&resumed.graph), GOLDEN);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir_b).ok();
@@ -261,7 +236,7 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     flipped[mid] ^= 0x01;
     let path = dir.join("flipped.sgrsnap");
     std::fs::write(&path, &flipped).unwrap();
-    match resume_from_checkpoint(&path, None, None, &mut scratch) {
+    match resume_from_checkpoint(&path, None, &mut scratch) {
         Err(RestoreError::Snapshot(SnapshotError::ChecksumMismatch)) => {}
         other => panic!("expected ChecksumMismatch, got {:?}", other.err()),
     }
@@ -269,7 +244,7 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     // Truncation → Truncated.
     let path = dir.join("truncated.sgrsnap");
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    match resume_from_checkpoint(&path, None, None, &mut scratch) {
+    match resume_from_checkpoint(&path, None, &mut scratch) {
         Err(RestoreError::Snapshot(SnapshotError::Truncated)) => {}
         other => panic!("expected Truncated, got {:?}", other.err()),
     }
@@ -279,13 +254,13 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     versioned[8] = versioned[8].wrapping_add(1);
     let path = dir.join("versioned.sgrsnap");
     std::fs::write(&path, &versioned).unwrap();
-    match resume_from_checkpoint(&path, None, None, &mut scratch) {
+    match resume_from_checkpoint(&path, None, &mut scratch) {
         Err(RestoreError::Snapshot(SnapshotError::UnsupportedVersion(_))) => {}
         other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
     }
 
     // Missing file → Io.
-    match resume_from_checkpoint(&dir.join("nope.sgrsnap"), None, None, &mut scratch) {
+    match resume_from_checkpoint(&dir.join("nope.sgrsnap"), None, &mut scratch) {
         Err(RestoreError::Snapshot(SnapshotError::Io(_))) => {}
         other => panic!("expected Io, got {:?}", other.err()),
     }
@@ -308,7 +283,7 @@ proptest! {
         let checkpoint = run_until_crash(1, every, 4 + extra, dir.clone());
         prop_assert!(checkpoint.to_string_lossy().contains("rewiring"));
         let mut scratch = sgr_dk::ConstructScratch::new();
-        let resumed = resume_from_checkpoint(&checkpoint, None, None, &mut scratch).unwrap();
+        let resumed = resume_from_checkpoint(&checkpoint, None, &mut scratch).unwrap();
         prop_assert_eq!(edge_multiset_hash(&resumed.graph), GOLDEN);
         std::fs::remove_dir_all(&dir).ok();
     }

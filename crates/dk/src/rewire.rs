@@ -71,51 +71,25 @@
 //!
 //! # Determinism model
 //!
-//! Three engines produce **bitwise-identical** results for the same seed:
-//! the apply-rollback reference, the sequential [`RewireEngine`], and the
-//! sharded [`parallel::ParallelRewireEngine`] at every thread count.
-//! The contract rests on three pillars:
+//! Rewiring is one sequential accept-if-closer chain (Algorithm 6): each
+//! attempt is decided against the state every earlier accepted swap left
+//! behind. The apply-rollback reference and [`RewireEngine`] produce
+//! **bitwise-identical** results for the same seed. The contract rests
+//! on three pillars:
 //!
 //! 1. **One RNG stream, drawn in attempt order.** Every candidate pick
 //!    flows through `EngineCore::pick_swap` against the current
-//!    committed state; no engine consumes draws any other engine would
+//!    committed state; neither engine consumes draws the other would
 //!    not.
 //! 2. **Integer evaluation.** A swap's effect is a set of per-node
 //!    triangle deltas `Δt_i` — exact `i64`s, so the *order* in which a
-//!    scan discovers common neighbors is irrelevant. Engines are free to
-//!    iterate, merge-intersect, or farm scans out to worker threads; the
-//!    node-sorted `(node, Δt)` list that feeds the decision is identical.
+//!    scan discovers common neighbors is irrelevant. The engines are free
+//!    to iterate or merge-intersect; the node-sorted `(node, Δt)` list
+//!    that feeds the decision is identical.
 //! 3. **One float fold.** Only `EngineCore::fold_decide` touches floating
-//!    point, always executed on the coordinating thread with node-sorted
-//!    input, so accept/reject decisions — and therefore the distance
-//!    trajectory — are bit-for-bit reproducible.
-//!
-//! The parallel engine adds **draw-order commit with conflict replay** on
-//! top: a coordinator pre-draws a block of picks, workers evaluate them
-//! read-only against the block-start snapshot, and commits happen
-//! strictly in draw order. The first in-block commit invalidates the
-//! speculative RNG tail, so the coordinator re-draws subsequent picks
-//! from a per-pick checkpoint; a speculative evaluation is reused only
-//! when the replayed pick is identical *and* none of its four endpoints
-//! is in the stamped dirty-node set of already-committed swaps.
-//!
-//! **Why ownership sharding preserves the stream.** The sharded engine
-//! routes each pick to the one worker owning its degree class
-//! ([`shard::ShardPartitioner`]), so sharding decides only *which thread
-//! computes* a pick's integer `Δt` list — never which picks exist, in
-//! what order they are decided, or what they evaluate to. The picks
-//! themselves come from the single sequential RNG stream drawn by the
-//! coordinator (pillar 1); the owned evaluation is the same exact
-//! integer computation regardless of worker (pillar 2); and the commit
-//! scan walks the block strictly in draw order on the coordinator,
-//! fetching each pick's result from its owner's buffer and running the
-//! one float fold there (pillar 3). The ownership map is itself a pure
-//! function of the degree-bucket lengths — invariant under commits — so
-//! it cannot drift mid-run and introduce routing-dependent behavior.
-//! Cross-shard conflicts (a commit dirtying endpoints another shard's
-//! pick reads) are detected exactly as before and repaired by inline
-//! re-evaluation, which is equality with re-execution, not an
-//! approximation (see [`mod@parallel`] for the full argument).
+//!    point, always with node-sorted input, so accept/reject decisions —
+//!    and therefore the distance trajectory — are bit-for-bit
+//!    reproducible.
 
 use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::{Graph, NodeId};
@@ -123,9 +97,7 @@ use sgr_props::triangles::triangle_counts_with_index;
 use sgr_util::scratch::ScratchAccum;
 use sgr_util::{FxHashMap, Xoshiro256pp};
 
-pub mod parallel;
 pub mod reference;
-pub mod shard;
 
 /// Statistics from a rewiring run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -145,11 +117,7 @@ pub struct RewireStats {
 
 /// One picked (and structurally valid) swap: slots `e1`/`e2` with the
 /// chosen orientations, and the four endpoint nodes.
-///
-/// `PartialEq` is how the parallel engine validates a speculative pick
-/// after an in-block commit: the pick is re-drawn from its RNG checkpoint
-/// against the updated state and compared field-for-field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct SwapPick {
     e1: u32,
     side1: u8,
@@ -758,11 +726,7 @@ impl RewireEngine {
 /// toggles, accumulating per-node triangle deltas into `scratch_t`, and
 /// leaves the node-sorted `(node, Δt)` list in `pairs`, ready for
 /// `EngineCore::fold_decide`.
-///
-/// Shared verbatim by the sequential engine and the parallel engine's
-/// workers — evaluation touches no engine state beyond the two scratch
-/// buffers, so any thread holding `&EngineCore` can run it.
-pub(crate) fn evaluate_swap(
+fn evaluate_swap(
     core: &EngineCore,
     pick: &SwapPick,
     scratch_t: &mut ScratchAccum<i64>,

@@ -10,7 +10,6 @@
 
 use proptest::prelude::*;
 use sgr_dk::extract::joint_degree_matrix;
-use sgr_dk::rewire::parallel::ParallelRewireEngine;
 use sgr_dk::rewire::reference::ApplyRollbackEngine;
 use sgr_dk::rewire::RewireEngine;
 use sgr_graph::{Graph, NodeId};
@@ -146,144 +145,6 @@ proptest! {
         prop_assert_eq!(g2.degree_vector(), dv);
         prop_assert_eq!(joint_degree_matrix(&g2), jdm);
     }
-}
-
-/// Thread counts exercised by the parallel-equivalence tests: the
-/// default `{1, 2, 4, 8}` matrix, or — when `SGR_REWIRE_TEST_THREADS`
-/// is set — exactly that single width, replacing the matrix. CI uses
-/// the override to run the suite once at its runners' true core count
-/// without re-running the whole matrix.
-fn test_thread_counts() -> Vec<usize> {
-    match std::env::var("SGR_REWIRE_TEST_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("SGR_REWIRE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-/// Sequential vs speculative-parallel, same seed: accepted counts and the
-/// distance trajectory (sampled every `chunk` attempts) must agree
-/// bitwise, and the final edge multiset exactly.
-fn assert_parallel_equivalent(
-    g: Graph,
-    target: &[f64],
-    rng_seed: u64,
-    threads: usize,
-    block: usize,
-    chunk: u64,
-    chunks: usize,
-) {
-    let edges: Vec<_> = g.edges().collect();
-    let mut seq = RewireEngine::new(g.clone(), edges.clone(), target);
-    let mut par = ParallelRewireEngine::new(g, edges, target, threads).with_block_size(block);
-    let mut rng_s = Xoshiro256pp::seed_from_u64(rng_seed);
-    let mut rng_p = Xoshiro256pp::seed_from_u64(rng_seed);
-    for c in 0..chunks {
-        let ss = seq.run_attempts(chunk, &mut rng_s);
-        let sp = par.run_attempts(chunk, &mut rng_p);
-        assert_eq!(
-            ss.accepted, sp.accepted,
-            "accepted diverged at chunk {c} (threads {threads}, block {block})"
-        );
-        assert_eq!(
-            seq.distance().to_bits(),
-            par.distance().to_bits(),
-            "distance diverged at chunk {c} (threads {threads}, block {block}): {} vs {}",
-            seq.distance(),
-            par.distance()
-        );
-    }
-    seq.validate().unwrap();
-    par.validate().unwrap();
-    assert_eq!(
-        sorted_edges(&seq.into_graph()),
-        sorted_edges(&par.into_graph()),
-        "edge multisets diverged (threads {threads}, block {block})"
-    );
-}
-
-#[test]
-fn parallel_engine_is_seed_for_seed_equivalent_at_all_thread_counts() {
-    for threads in test_thread_counts() {
-        let g = messy_graph(21);
-        let props = LocalProperties::compute(&g);
-        let target: Vec<f64> = props
-            .clustering_by_degree
-            .iter()
-            .map(|&c| c * 0.5)
-            .collect();
-        assert_parallel_equivalent(g, &target, 23, threads, 1024, 1000, 6);
-    }
-}
-
-#[test]
-fn parallel_engine_matches_on_reject_dominated_workload() {
-    // Inflated target: triangle-creating swaps are rare, so blocks almost
-    // never commit — the pure speculation fast path.
-    for threads in test_thread_counts() {
-        let g = messy_graph(22);
-        let props = LocalProperties::compute(&g);
-        let target: Vec<f64> = props
-            .clustering_by_degree
-            .iter()
-            .map(|&c| (c * 1.5).min(1.0))
-            .collect();
-        assert_parallel_equivalent(g, &target, 29, threads, 512, 2000, 3);
-    }
-}
-
-#[test]
-fn conflict_replay_is_correct_under_high_acceptance() {
-    // Crafted high-acceptance workload: a zero-clustering target on a
-    // clustered graph accepts a large share of early attempts, and tiny
-    // blocks put several commits inside almost every block — maximal
-    // pressure on checkpoint replay and dirty-set invalidation.
-    let g = messy_graph(23);
-    let target = vec![0.0; g.max_degree() + 1];
-    let stats = {
-        let edges: Vec<_> = g.edges().collect();
-        let mut probe = RewireEngine::new(g.clone(), edges, &target);
-        let mut rng = Xoshiro256pp::seed_from_u64(31);
-        probe.run_attempts(2_000, &mut rng)
-    };
-    assert!(
-        stats.accepted >= 150,
-        "workload not acceptance-heavy enough to stress replay ({} accepts)",
-        stats.accepted
-    );
-    for threads in [2, 4] {
-        for block in [2, 5, 32] {
-            assert_parallel_equivalent(g.clone(), &target, 31, threads, block, 500, 4);
-        }
-    }
-}
-
-#[test]
-fn parallel_worker_evaluations_are_allocation_free_on_reject() {
-    // Same guarantee as the sequential engine, now for the parallel
-    // engine's evaluation kernel: a reject-only run performs zero heap
-    // allocations once buffers are warm. Run with one worker so
-    // evaluation happens on the (armed) coordinator thread — the
-    // counting allocator is thread-local, and the single-worker path
-    // runs the exact `evaluate_swap` kernel the scoped workers run,
-    // into the same kind of reused arena + pair buffers.
-    let g = messy_graph(24);
-    let props = LocalProperties::compute(&g);
-    // The graph's own clustering as target: D = 0 is already the floor,
-    // so `new_raw < dist_raw` can never hold — every attempt rejects.
-    let target = props.clustering_by_degree.clone();
-    let edges: Vec<_> = g.edges().collect();
-    let mut eng = ParallelRewireEngine::new(g, edges, &target, 1);
-    assert!(eng.distance() < 1e-9, "D = {}", eng.distance());
-    let mut rng = Xoshiro256pp::seed_from_u64(37);
-    // Warm-up: let result buffers reach their steady-state capacities.
-    let warm = eng.run_attempts(4_096, &mut rng);
-    let (allocs, stats) = count_allocs(|| eng.run_attempts(4_096, &mut rng));
-    assert_eq!(warm.accepted + stats.accepted, 0, "fixed point accepted?");
-    assert_eq!(allocs, 0, "reject-only rewiring allocated {allocs} times");
-    assert_eq!(stats.skipped, 4_096);
-    eng.validate().unwrap();
 }
 
 #[test]

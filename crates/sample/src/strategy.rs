@@ -142,13 +142,17 @@ pub struct CrawlOutcome {
 ///
 /// RNG contract: exactly one `random_seed` draw, then the crawler's own
 /// draws — the stream the CLI has always consumed, pinned by the server
-/// determinism suite.
+/// determinism suite. An invalid spec or a graph with no nodes is an
+/// error returned before any draw.
 pub fn run_crawl<G: GraphView>(
     g: &G,
     spec: &CrawlSpec,
     rng: &mut Xoshiro256pp,
 ) -> Result<CrawlOutcome, String> {
     spec.validate()?;
+    if g.num_nodes() == 0 {
+        return Err("empty hidden graph: no node to start the crawl from".into());
+    }
     let target = ((g.num_nodes() as f64 * spec.fraction).round() as usize).max(1);
     let mut am = AccessModel::new(g);
     let seed_node = am.random_seed(rng);
@@ -231,6 +235,19 @@ mod tests {
         assert_eq!(out.query_calls, am.query_calls());
         // Both streams end at the same position.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
+    fn empty_graph_is_an_error_without_consuming_rng() {
+        let g = Graph::with_nodes(0);
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let err = run_crawl(&g, &CrawlSpec::default(), &mut rng).unwrap_err();
+        assert!(err.contains("empty hidden graph"), "{err}");
+        assert_eq!(
+            rng.next_u64(),
+            Xoshiro256pp::seed_from_u64(5).next_u64(),
+            "the RNG must be untouched"
+        );
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub struct JobSpec {
     pub rewiring_coefficient: f64,
     /// Whether to run the rewiring phase.
     pub rewire: bool,
-    /// `RestoreConfig::threads` for this job.
+    /// `RestoreConfig::threads` for this job: ignored, but still encoded
+    /// so existing job specs stay loadable.
     pub threads: usize,
     /// The RNG seed.
     pub seed: u64,

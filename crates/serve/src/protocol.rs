@@ -222,8 +222,8 @@ pub struct SubmitRequest {
     pub rewiring_coefficient: f64,
     /// Whether to run the rewiring phase.
     pub rewire: bool,
-    /// Rewiring thread cap for this job (`RestoreConfig::threads`; the
-    /// server may clamp it, never changing results).
+    /// Ignored (`RestoreConfig::threads`); still encoded so the wire
+    /// format is unchanged.
     pub threads: u64,
     /// The RNG seed; the entire output is a function of it.
     pub seed: u64,

@@ -70,10 +70,6 @@ pub struct ServeConfig {
     pub memory_budget: u64,
     /// `checkpoint_every` for jobs that don't set their own.
     pub default_checkpoint_every: u64,
-    /// Per-job thread cap (0 = uncapped). Clamping never changes
-    /// results — the rewiring engines are seed-for-seed equivalent at
-    /// every width.
-    pub max_threads_per_job: usize,
 }
 
 impl Default for ServeConfig {
@@ -85,7 +81,6 @@ impl Default for ServeConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             memory_budget: 2 << 30,
             default_checkpoint_every: 100_000,
-            max_threads_per_job: 0,
         }
     }
 }
@@ -447,13 +442,8 @@ fn handle_request(
 /// no trace.
 fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let req = SubmitRequest::decode(payload).map_err(|e| (ERR_MALFORMED, e.to_string()))?;
-    let mut spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
+    let spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
         .map_err(|e| (ERR_MALFORMED, e))?;
-    if shared.cfg.max_threads_per_job > 0
-        && (spec.threads == 0 || spec.threads > shared.cfg.max_threads_per_job)
-    {
-        spec.threads = shared.cfg.max_threads_per_job;
-    }
     let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))
         .map_err(|e| (ERR_MALFORMED, format!("edge list: {e}")))?;
     let estimate = estimate_job_bytes(spec.edges.len(), g.num_nodes(), g.num_edges());
@@ -667,7 +657,7 @@ fn execute(
                 every: spec.checkpoint_every,
                 abort_after: None,
             };
-            resume_from_checkpoint_observed(&ckpt, None, Some(&policy), scratch, &mut observer)?
+            resume_from_checkpoint_observed(&ckpt, Some(&policy), scratch, &mut observer)?
         }
         None => {
             let (g, _) = read_edge_list(Cursor::new(&spec.edges[..])).map_err(|e| {

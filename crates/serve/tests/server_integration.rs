@@ -6,13 +6,14 @@
 //! 1. **Determinism over the wire** — concurrently submitted jobs fetch
 //!    back byte-identical to the same restoration run locally through
 //!    the `sgr restore` code path (edge list → seeded RNG → crawl →
-//!    restore), at any worker count and thread cap.
+//!    restore), at any worker count.
 //! 2. **Crash-safe adoption** — a job killed mid-rewire (fault-injected
 //!    simulated crash) is re-adopted by a fresh server on the same state
 //!    root and finishes bitwise-identical to the never-killed run.
 //! 3. **Hostile input** — malformed, truncated, oversize, and
 //!    unknown-type frames produce typed errors without taking down the
-//!    server or other clients' jobs.
+//!    server or other clients' jobs; a job whose hidden graph cannot be
+//!    crawled fails on its own and the worker runs the next job.
 
 use std::io::{Cursor, Write};
 use std::net::TcpStream;
@@ -84,9 +85,8 @@ fn submit_req(seed: u64, threads: u64, tenant: &str, abort_after: u64) -> Submit
 /// What `sgr restore` would produce locally from the same submission —
 /// the exact CLI code path (edge list → seeded RNG → `run_crawl` →
 /// restore), encoded as the snapshot section `sgr fetch` returns.
-/// `threads` may differ from the job's: the engines are seed-for-seed
-/// equivalent, so the bytes must not change.
-fn local_restore_bytes(req: &SubmitRequest, threads: usize) -> Vec<u8> {
+/// The job's `threads` field is ignored, so the local run uses 1.
+fn local_restore_bytes(req: &SubmitRequest) -> Vec<u8> {
     let (g, _) = read_edge_list(Cursor::new(&req.edges[..])).unwrap();
     let mut rng = Xoshiro256pp::seed_from_u64(req.seed);
     let spec = CrawlSpec {
@@ -99,7 +99,7 @@ fn local_restore_bytes(req: &SubmitRequest, threads: usize) -> Vec<u8> {
     let cfg = RestoreConfig {
         rewiring_coefficient: req.rewiring_coefficient,
         rewire: req.rewire,
-        threads,
+        threads: 1,
     };
     let restored = sgr_core::restore(&outcome.crawl, &cfg, &mut rng).unwrap();
     encode_section(KIND_CSR_GRAPH, &encode_csr(&restored.snapshot))
@@ -128,7 +128,7 @@ fn wait_for(client: &mut Client, job: u64, want: JobState) -> sgr_serve::JobStat
 
 /// Pillar 1: two tenants submit concurrently; each fetched snapshot is
 /// byte-identical to the local `sgr restore`-path run, including a job
-/// whose thread cap differs from the local run's.
+/// that sends a `threads` value the server ignores.
 #[test]
 fn concurrent_jobs_match_local_restore_bytes() {
     let root = state_root("concurrent");
@@ -150,9 +150,9 @@ fn concurrent_jobs_match_local_restore_bytes() {
 
     let fetched_a = client.fetch(id_a).unwrap();
     let fetched_b = client.fetch(id_b).unwrap();
-    assert_eq!(fetched_a, local_restore_bytes(&req_a, 1));
-    // Job B ran with threads = 2 on the server; the local run uses 1.
-    assert_eq!(fetched_b, local_restore_bytes(&req_b, 1));
+    assert_eq!(fetched_a, local_restore_bytes(&req_a));
+    // Job B sent threads = 2 over the wire; the field has no effect.
+    assert_eq!(fetched_b, local_restore_bytes(&req_b));
     assert_ne!(fetched_a, fetched_b, "different seeds must differ");
 
     // The job list sees both tenants.
@@ -202,7 +202,7 @@ fn interrupted_job_is_adopted_and_finishes_identically() {
     let done = wait_for(&mut client, id, JobState::Completed);
     assert_eq!(done.attempts_done, done.attempts_total);
     let fetched = client.fetch(id).unwrap();
-    assert_eq!(fetched, local_restore_bytes(&req, 1));
+    assert_eq!(fetched, local_restore_bytes(&req));
 
     // Fresh submissions continue the id sequence past adopted jobs.
     let id2 = client.submit(&submit_req(9, 1, "tenant-b", 0)).unwrap();
@@ -328,7 +328,7 @@ fn hostile_frames_get_typed_errors_without_collateral_damage() {
 
     // The bystander job is untouched by all of the above.
     wait_for(&mut client, id, JobState::Completed);
-    assert_eq!(client.fetch(id).unwrap(), local_restore_bytes(&req, 1));
+    assert_eq!(client.fetch(id).unwrap(), local_restore_bytes(&req));
 
     client.shutdown_server().unwrap();
     handle.join();
@@ -357,6 +357,40 @@ fn admission_rejects_jobs_past_the_memory_budget() {
     }
     // Rejected submissions leave no job behind.
     assert!(client.list().unwrap().is_empty());
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A hidden graph with no nodes fails its job with a typed message on a
+/// single worker, and that worker goes on to complete the next job.
+#[test]
+fn empty_graph_job_fails_and_the_next_job_completes() {
+    let root = state_root("empty-graph");
+    let cfg = ServeConfig {
+        workers: 1,
+        ..serve_cfg(root.clone())
+    };
+    let handle = sgr_serve::start(cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let empty = SubmitRequest {
+        edges: Vec::new(),
+        ..submit_req(7, 1, "t", 0)
+    };
+    let bad = client.submit(&empty).unwrap();
+    let req = submit_req(8, 1, "t", 0);
+    let good = client.submit(&req).unwrap();
+
+    let failed = wait_for(&mut client, bad, JobState::Failed);
+    assert!(
+        failed.message.contains("empty hidden graph"),
+        "{}",
+        failed.message
+    );
+    wait_for(&mut client, good, JobState::Completed);
+    assert_eq!(client.fetch(good).unwrap(), local_restore_bytes(&req));
 
     client.shutdown_server().unwrap();
     handle.join();

@@ -29,12 +29,12 @@ pub struct ScratchAccum<T> {
 
 /// A fixed set of [`ScratchAccum`] arenas, one per worker thread.
 ///
-/// The speculative-parallel rewiring engine evaluates a block of swap
-/// picks on several scoped threads at once; each worker needs its own
-/// triangle-delta arena so evaluations never contend. The pool owns all
+/// A kernel that spreads independent evaluations over scoped threads
+/// needs one arena per worker so they never contend. The pool owns all
 /// of them, sized identically up front, and hands out disjoint `&mut`
 /// access via [`ScratchPool::arenas_mut`] (ready for
 /// `chunks_mut`-style splitting across `std::thread::scope` workers).
+/// Nothing in the workspace uses it at present: rewiring is sequential.
 #[derive(Clone, Debug)]
 pub struct ScratchPool<T> {
     arenas: Vec<ScratchAccum<T>>,
@@ -70,10 +70,7 @@ impl<T: Copy + Default> ScratchPool<T> {
 /// clear, with an explicit marked-key list for iteration.
 ///
 /// This is [`ScratchAccum`] specialized to pure membership (no value per
-/// key). The speculative-parallel rewiring engine uses it as the
-/// **dirty-node set**: every node touched by a committed swap is marked,
-/// and a speculative evaluation is reusable only if none of its four
-/// endpoints is dirty.
+/// key). The estimators use it to mark the nodes a walk has observed.
 #[derive(Clone, Debug)]
 pub struct DirtyStampSet {
     stamp: Vec<u32>,
