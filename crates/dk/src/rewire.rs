@@ -30,14 +30,18 @@
 //!
 //! 1. **Read-only evaluation.** The four toggles (remove `(v_i, v_j)`,
 //!    remove `(v_{i'}, v_{j'})`, add `(v_i, v_{j'})`, add `(v_{i'}, v_j)`)
-//!    are emulated in sequence against an *effective adjacency*: `A_uv`
-//!    reads combine the untouched [`MultiplicityIndex`] with a fixed-size
-//!    array of at most four pending pair deltas. The interaction terms
-//!    between toggles (e.g. the `A_{v_j v_{j'}}` and `A_{v_i v_{i'}}`
-//!    corrections) therefore fall out arithmetically — each scan sees
-//!    exactly the intermediate state the sequential reference sees, so the
-//!    per-node triangle deltas `Δt_i` match the reference integer for
-//!    integer.
+//!    are reduced to the **net** changes of the off-diagonal pairs among
+//!    the swap's distinct endpoints `S` (loops take part in no triangle).
+//!    The triangle deltas then follow in closed form from the untouched
+//!    [`MultiplicityIndex`]: a node `w ∉ S` changes by
+//!    `Σ_p δ_p A_{wa} A_{wb}` over the changed pairs `p = {a, b}` — with
+//!    four distinct endpoints, `(A_{v_i w} − A_{v_{i'} w})(A_{v_{j'} w} −
+//!    A_{v_j w})` — and a node `s ∈ S` by `δ_p` times each of its changed
+//!    pairs' common-neighbor sums, plus the change of the ≤ 4 triangles
+//!    inside `S`. Every term is an exact integer of the final state, so
+//!    the per-node deltas `Δt_i` match the reference's sequential toggles
+//!    integer for integer. A swap whose net change is zero
+//!    (`v_i = v_{i'}`: the edges trade places) is rejected unscanned.
 //! 2. **Decision.** `Δt` is folded into per-degree candidate sums `S'(k)`
 //!    and a predicted distance `D'` (`EngineCore::fold_decide`, shared
 //!    verbatim with the reference so accept/reject decisions and the final
@@ -56,18 +60,22 @@
 //!
 //! # Per-attempt complexity
 //!
-//! A rejected attempt costs exactly one evaluation: four common-neighbor
-//! scans, each a branchless merge-intersection over the two endpoints'
-//! sorted neighbor slices
-//! ([`sgr_graph::index::MultiplicityIndex::for_each_common`]) — O(d̃_u +
+//! A rejected attempt costs exactly one evaluation: one raw
+//! common-neighbor scan per changed pair — four with distinct endpoints,
+//! fewer with loop slots, none for a zero-net swap — each a branchless
+//! merge-intersection over the two endpoints' sorted neighbor slices
+//! ([`sgr_graph::index::MultiplicityIndex::for_each_common`]), O(d̃_u +
 //! d̃_v) with no hashing or binary search in the typical
-//! both-under-threshold case, falling back to O(1) hash probes against
-//! hub nodes — plus an O(τ log τ) fold over the τ ≤ O(k̄) touched nodes.
-//! An accepted attempt adds four scan-free structural toggles and O(1)
-//! slot/bucket bookkeeping. The apply-rollback reference pays an
-//! iterate-and-probe evaluation *plus* eight mutating toggles (four of
-//! them pure waste on rejection) and two hash maps' worth of allocation
-//! per attempt.
+//! both-under-threshold case and O(1) hash probes against hub nodes.
+//! The triangles inside `S` cost 2 point probes with four distinct
+//! endpoints (each of them holds one of the two pairs the swap leaves
+//! alone, `(v_i, v_{i'})` and `(v_j, v_{j'})`), 6 when one of those two
+//! exists, and 3 with one loop slot. Then an O(τ log τ) fold over the
+//! τ ≤ O(k̄) touched nodes. An accepted attempt adds four scan-free
+//! structural toggles and O(1) slot/bucket bookkeeping. The
+//! apply-rollback reference pays an iterate-and-probe evaluation *plus*
+//! eight mutating toggles (four of them pure waste on rejection) and two
+//! hash maps' worth of allocation per attempt.
 //!
 //! # Determinism model
 //!
@@ -504,51 +512,6 @@ impl EngineCore {
     }
 }
 
-/// Fixed-capacity record of the evaluation's pending edge-multiplicity
-/// changes: at most the four unordered pairs a swap can touch. Reads cost
-/// a ≤4-element linear probe; no heap.
-#[derive(Clone, Copy, Debug, Default)]
-struct PendingDeltas {
-    pairs: [((NodeId, NodeId), i32); 4],
-    len: usize,
-}
-
-impl PendingDeltas {
-    #[inline]
-    fn key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-        if u <= v {
-            (u, v)
-        } else {
-            (v, u)
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, u: NodeId, v: NodeId, delta: i32) {
-        let k = Self::key(u, v);
-        for i in 0..self.len {
-            if self.pairs[i].0 == k {
-                self.pairs[i].1 += delta;
-                return;
-            }
-        }
-        debug_assert!(self.len < 4, "a swap touches at most four pairs");
-        self.pairs[self.len] = (k, delta);
-        self.len += 1;
-    }
-
-    #[inline]
-    fn delta(&self, u: NodeId, v: NodeId) -> i32 {
-        let k = Self::key(u, v);
-        for i in 0..self.len {
-            if self.pairs[i].0 == k {
-                return self.pairs[i].1;
-            }
-        }
-        0
-    }
-}
-
 /// The evaluate-then-commit rewiring engine. Owns the graph while
 /// rewiring; [`into_graph`](RewireEngine::into_graph) releases it.
 ///
@@ -640,8 +603,8 @@ impl RewireEngine {
             return false;
         };
 
-        // --- Evaluate: predict every Δt_i by read-only scans.
-        evaluate_swap(&self.core, &pick, &mut self.scratch_t, &mut self.pairs);
+        // --- Evaluate: every Δt_i in closed form, read-only.
+        evaluate_swap(&self.core.idx, &pick, &mut self.scratch_t, &mut self.pairs);
 
         // --- Decide: fold node-sorted deltas into a predicted distance.
         let new_raw = self.core.fold_decide(&self.pairs, &mut self.scratch_s);
@@ -722,137 +685,144 @@ impl RewireEngine {
     }
 }
 
-/// Evaluates `pick` **read-only** against `core`: emulates the four edge
-/// toggles, accumulating per-node triangle deltas into `scratch_t`, and
-/// leaves the node-sorted `(node, Δt)` list in `pairs`, ready for
+/// Evaluates `pick` **read-only** against `idx` in closed form: the exact
+/// per-node triangle deltas `Δt` of the whole swap, left as the
+/// node-sorted list of non-zero `(node, Δt)` pairs in `pairs`, ready for
 /// `EngineCore::fold_decide`.
+///
+/// The four toggles reduce to net changes `δ_p` of off-diagonal pairs
+/// `p = {a, b}` over the swap's distinct endpoints `S` (loops take part
+/// in no triangle, so loop slots drop out). `pick_swap` already rules
+/// out `v_i = v_{j'}`, `v_{i'} = v_j` and `v_j = v_{j'}`, which leaves
+/// four shapes:
+///
+/// * `v_i = v_{i'}` — the two edges trade places; the net change is zero
+///   and nothing is scanned;
+/// * four distinct endpoints — `δ = -1` on `(v_i, v_j)`, `(v_{i'},
+///   v_{j'})` and `+1` on `(v_i, v_{j'})`, `(v_{i'}, v_j)`;
+/// * one loop slot `v_i = v_j` — `-1` on `(v_{i'}, v_{j'})`, `+1` on
+///   `(v_i, v_{j'})` and `(v_i, v_{i'})`;
+/// * two loop slots — `+2` on `(v_i, v_{i'})`.
+///
+/// A node `w ∉ S` changes by `Σ_p δ_p A_{wa} A_{wb}`, which one raw
+/// common-neighbor scan per changed pair collects; the same scan yields
+/// the pair's common-neighbor sum `C_p` over `w ∉ S`. A node `s ∈ S`
+/// changes by `Σ_{p ∋ s} δ_p C_p` plus the before/after difference of
+/// the triangles inside `S`.
 fn evaluate_swap(
-    core: &EngineCore,
+    idx: &MultiplicityIndex,
     pick: &SwapPick,
     scratch_t: &mut ScratchAccum<i64>,
     pairs: &mut Vec<(NodeId, i64)>,
 ) {
     scratch_t.begin();
-    let mut pending = PendingDeltas::default();
-    let specials = [pick.vi, pick.vj, pick.vi2, pick.vj2];
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi,
-        pick.vj,
-        -1,
-        &mut pending,
-        &specials,
-    );
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi2,
-        pick.vj2,
-        -1,
-        &mut pending,
-        &specials,
-    );
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi,
-        pick.vj2,
-        1,
-        &mut pending,
-        &specials,
-    );
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi2,
-        pick.vj,
-        1,
-        &mut pending,
-        &specials,
-    );
-    scratch_t.sort_touched();
     pairs.clear();
-    for i in 0..scratch_t.touched().len() {
-        let node = scratch_t.touched()[i];
-        pairs.push((node, scratch_t.get(node)));
+    let SwapPick {
+        vi, vj, vi2, vj2, ..
+    } = *pick;
+    if vi == vi2 {
+        return;
+    }
+    // The swap is symmetric in its two edges: put a loop slot first.
+    let (vi, vj, vi2, vj2) = if vi2 == vj2 {
+        (vi2, vj2, vi, vj)
+    } else {
+        (vi, vj, vi2, vj2)
+    };
+    if vi != vj {
+        let s = [vi, vj, vi2, vj2];
+        scan_pair(idx, vi, vj, -1, s, scratch_t);
+        scan_pair(idx, vi2, vj2, -1, s, scratch_t);
+        scan_pair(idx, vi, vj2, 1, s, scratch_t);
+        scan_pair(idx, vi2, vj, 1, s, scratch_t);
+        inner_four(idx, vi, vj, vi2, vj2, scratch_t);
+    } else if vi2 != vj2 {
+        let s = [vi, vi2, vj2, vj2];
+        scan_pair(idx, vi2, vj2, -1, s, scratch_t);
+        scan_pair(idx, vi, vj2, 1, s, scratch_t);
+        scan_pair(idx, vi, vi2, 1, s, scratch_t);
+        // The one triangle inside S, all three of whose pairs change.
+        let a = idx.get(vi2, vj2) as i64;
+        let b = idx.get(vi, vj2) as i64;
+        let c = idx.get(vi, vi2) as i64;
+        let diff = (a - 1) * (b + 1) * (c + 1) - a * b * c;
+        for node in [vi, vi2, vj2] {
+            scratch_t.add(node, diff);
+        }
+    } else {
+        scan_pair(idx, vi, vi2, 2, [vi, vi2, vi2, vi2], scratch_t);
+    }
+    scratch_t.sort_touched();
+    for &node in scratch_t.touched() {
+        let dt = scratch_t.get(node);
+        if dt != 0 {
+            pairs.push((node, dt));
+        }
     }
 }
 
-/// Emulates one edge toggle (`sign = ±1` copy of `{u, v}`) against the
-/// effective adjacency (index ⊕ pending deltas), accumulating triangle
-/// deltas into `scratch_t`. Mirrors the reference's mutating
-/// `toggle_edge` exactly: removals are scanned on the state *without*
-/// the removed copy, additions likewise.
-///
-/// Pending deltas only ever involve the swap's four endpoints, so the
-/// scan splits into a **fast path** — the branchless merge-intersection
-/// of the two raw neighbor slices
-/// ([`MultiplicityIndex::for_each_common`]), which needs no pending
-/// probes at all — and a ≤2-node **special path** for the endpoints not
-/// on this edge, probed under the effective adjacency on both sides
-/// (covering neighbors that exist only as pending additions). Every
-/// contribution is an exact integer, so the split changes nothing about
-/// the resulting deltas.
-fn eval_toggle(
-    core: &EngineCore,
+/// One changed pair `{a, b}` with net change `delta`: adds
+/// `delta · A_{aw} A_{bw}` to every common neighbor `w` outside the swap's
+/// endpoints `s` (padded to four with repeats), and `delta · C` to `a`
+/// and `b`, where `C` is the sum of those products.
+#[inline]
+fn scan_pair(
+    idx: &MultiplicityIndex,
+    a: NodeId,
+    b: NodeId,
+    delta: i64,
+    s: [NodeId; 4],
     scratch_t: &mut ScratchAccum<i64>,
-    u: NodeId,
-    v: NodeId,
-    sign: i64,
-    pending: &mut PendingDeltas,
-    specials: &[NodeId; 4],
 ) {
-    if u == v {
-        // A self-loop slot being dissolved (or, never in practice,
-        // created): loops take part in no triangle.
-        pending.add(u, u, if sign < 0 { -2 } else { 2 });
-        return;
-    }
-    if sign < 0 {
-        pending.add(u, v, -1);
-    }
-    // The swap's endpoints not on this edge — the only nodes whose
-    // adjacency to u/v can be shifted by pending deltas.
-    let mut o = [u; 2];
-    let mut no = 0usize;
-    for &s in specials {
-        if s != u && s != v && !o[..no].contains(&s) {
-            o[no] = s;
-            no += 1;
-        }
-    }
-    let (o0, o1) = (o[0], o[no.min(1)]);
+    let [s0, s1, s2, s3] = s;
     let mut common = 0i64;
-    // Fast path: raw common neighbors of u and v, excluding the toggled
-    // pair itself and the special nodes (handled below).
-    core.idx.for_each_common(u, v, |w, a_uw, a_vw| {
-        if w == u || w == v || w == o0 || w == o1 {
+    idx.for_each_common(a, b, |w, a_aw, a_bw| {
+        if w == s0 || w == s1 || w == s2 || w == s3 {
             return;
         }
-        let prod = a_uw as i64 * a_vw as i64;
+        let prod = a_aw as i64 * a_bw as i64;
         common += prod;
-        scratch_t.add(w, sign * prod);
+        scratch_t.add(w, delta * prod);
     });
-    // Special path: effective adjacency (raw ⊕ pending) on both sides.
-    for &w in &o[..no] {
-        let a_uw = core.idx.get(u, w) as i64 + pending.delta(u, w) as i64;
-        if a_uw <= 0 {
-            continue;
-        }
-        let a_vw = core.idx.get(v, w) as i64 + pending.delta(v, w) as i64;
-        if a_vw <= 0 {
-            continue;
-        }
-        let prod = a_uw * a_vw;
-        common += prod;
-        scratch_t.add(w, sign * prod);
+    if common != 0 {
+        scratch_t.add(a, delta * common);
+        scratch_t.add(b, delta * common);
     }
-    scratch_t.add(u, sign * common);
-    scratch_t.add(v, sign * common);
-    if sign > 0 {
-        pending.add(u, v, 1);
+}
+
+/// The triangles inside four distinct endpoints. The changed pairs form
+/// the 4-cycle `v_i – v_j – v_{i'} – v_{j'}`, so every triangle holds one
+/// of its two diagonals `(v_i, v_{i'})`, `(v_j, v_{j'})`, which the swap
+/// leaves alone. Those two are probed first; the four cycle pairs are
+/// probed only if a diagonal exists.
+#[inline]
+fn inner_four(
+    idx: &MultiplicityIndex,
+    vi: NodeId,
+    vj: NodeId,
+    vi2: NodeId,
+    vj2: NodeId,
+    scratch_t: &mut ScratchAccum<i64>,
+) {
+    let d1 = idx.get(vi, vi2) as i64;
+    let d2 = idx.get(vj, vj2) as i64;
+    if d1 == 0 && d2 == 0 {
+        return;
     }
+    // Each triangle holds one cycle pair that loses a copy (`a`, `d`)
+    // and one that gains a copy (`b`, `c`): (x-1)(y+1) - xy = x - y - 1.
+    let a = idx.get(vi, vj) as i64;
+    let b = idx.get(vi2, vj) as i64;
+    let c = idx.get(vi, vj2) as i64;
+    let d = idx.get(vi2, vj2) as i64;
+    let t1 = d1 * (a - b - 1); // {v_i, v_j, v_{i'}}
+    let t2 = d1 * (d - c - 1); // {v_i, v_{j'}, v_{i'}}
+    let t3 = d2 * (a - c - 1); // {v_i, v_j, v_{j'}}
+    let t4 = d2 * (d - b - 1); // {v_{i'}, v_j, v_{j'}}
+    scratch_t.add(vi, t1 + t2 + t3);
+    scratch_t.add(vj, t1 + t3 + t4);
+    scratch_t.add(vi2, t1 + t2 + t4);
+    scratch_t.add(vj2, t2 + t3 + t4);
 }
 
 /// Applies one structural edge toggle to graph + index, with no triangle
@@ -1081,6 +1051,194 @@ mod tests {
         let mut eng = RewireEngine::new(g, edges, &target);
         let wrong = vec![0.0; eng.clustering_sums().len() + 1];
         assert!(eng.restore_float_state(&wrong, 0.0).is_err());
+    }
+
+    fn swap(vi: NodeId, vj: NodeId, vi2: NodeId, vj2: NodeId) -> SwapPick {
+        SwapPick {
+            e1: 0,
+            side1: 0,
+            e2: 1,
+            side2: 0,
+            vi,
+            vj,
+            vi2,
+            vj2,
+        }
+    }
+
+    /// Asserts that the closed-form evaluator's node-sorted `(node, Δt)`
+    /// list equals the one the apply-rollback reference measures by
+    /// mutating, for every swap in `swaps`. Returns how many of them
+    /// changed some `t`.
+    fn assert_deltas_match_reference(g: &Graph, swaps: &[SwapPick]) -> usize {
+        let idx = MultiplicityIndex::build(g);
+        let mut reference = reference::ApplyRollbackEngine::new(g.clone(), Vec::new(), &[]);
+        let mut scratch_t = ScratchAccum::with_keys(g.num_nodes());
+        let mut pairs = Vec::new();
+        let mut changed = 0;
+        for p in swaps {
+            evaluate_swap(&idx, p, &mut scratch_t, &mut pairs);
+            assert_eq!(pairs, reference.swap_deltas(p), "swap {p:?}");
+            changed += usize::from(!pairs.is_empty());
+        }
+        changed
+    }
+
+    /// Endpoints 0..4 (`v_i = 0`, `v_j = 1`, `v_{i'} = 2`, `v_{j'} = 3`)
+    /// with both swap edges, both new-edge pairs already present, optional
+    /// diagonals `(0, 2)` / `(1, 3)`, and outside nodes 4 (adjacent to 0
+    /// and 1) and 5 (adjacent to 0, 2 and 3). `mult` repeats every edge.
+    fn four_endpoint_graph(diag1: bool, diag2: bool, mult: usize) -> Graph {
+        let mut edges = vec![(0, 1), (2, 3), (0, 3), (2, 1)];
+        if diag1 {
+            edges.push((0, 2));
+        }
+        if diag2 {
+            edges.push((1, 3));
+        }
+        edges.extend([(0, 4), (1, 4), (0, 5), (2, 5), (3, 5), (4, 5)]);
+        let edges: Vec<_> = edges.iter().flat_map(|&e| vec![e; mult]).collect();
+        Graph::from_edges(6, &edges)
+    }
+
+    #[test]
+    fn closed_form_matches_reference_for_adjacent_endpoints() {
+        let s = swap(0, 1, 2, 3);
+        for mult in [1, 2] {
+            for (d1, d2) in [(false, false), (true, false), (false, true), (true, true)] {
+                let g = four_endpoint_graph(d1, d2, mult);
+                assert_eq!(assert_deltas_match_reference(&g, &[s]), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_reference_on_multi_edges() {
+        // Unequal multiplicities inside S and towards the outside node 4.
+        let g = Graph::from_edges(
+            5,
+            &[
+                (0, 1),
+                (0, 1),
+                (2, 3),
+                (2, 3),
+                (2, 3),
+                (0, 2),
+                (0, 2),
+                (1, 3),
+                (0, 3),
+                (2, 1),
+                (2, 1),
+                (0, 4),
+                (0, 4),
+                (1, 4),
+                (2, 4),
+                (2, 4),
+                (2, 4),
+                (3, 4),
+            ],
+        );
+        let swaps = [
+            swap(0, 1, 2, 3),
+            swap(2, 3, 0, 1),
+            swap(1, 0, 3, 2),
+            swap(0, 4, 2, 1),
+        ];
+        assert_eq!(assert_deltas_match_reference(&g, &swaps), swaps.len());
+    }
+
+    #[test]
+    fn closed_form_matches_reference_for_loop_slots_and_trades() {
+        // A triangle {0, 2, 3} with loops at 0 and 2 and a common
+        // neighbour 4 of every pair.
+        let g = Graph::from_edges(
+            5,
+            &[
+                (0, 0),
+                (2, 2),
+                (0, 2),
+                (0, 3),
+                (2, 3),
+                (0, 1),
+                (2, 1),
+                (0, 4),
+                (2, 4),
+                (3, 4),
+            ],
+        );
+        let loops = [
+            swap(0, 0, 2, 3), // v_i = v_j
+            swap(2, 3, 0, 0), // v_{i'} = v_{j'}
+            swap(0, 0, 2, 2), // both slots are loops
+        ];
+        assert_eq!(assert_deltas_match_reference(&g, &loops), loops.len());
+        // v_i = v_{i'}: the edges trade places and nothing changes.
+        let trades = [swap(0, 1, 0, 3), swap(2, 3, 2, 4)];
+        assert_eq!(assert_deltas_match_reference(&g, &trades), 0);
+    }
+
+    #[test]
+    fn closed_form_matches_reference_at_a_hashed_hub() {
+        // Hub 0 has 70 distinct neighbours (hashed form); 1..70 form a
+        // path, so every hub edge closes triangles.
+        let mut edges: Vec<(NodeId, NodeId)> = (1..=70).map(|v| (0, v)).collect();
+        edges.extend((1..70).map(|v| (v, v + 1)));
+        edges.extend([(71, 3), (71, 5), (71, 1), (72, 5), (72, 0)]);
+        let g = Graph::from_edges(73, &edges);
+        assert!(MultiplicityIndex::build(&g).sorted_entries(0).is_none());
+        let swaps = [
+            swap(0, 1, 71, 3),  // hub is v_i
+            swap(71, 3, 0, 1),  // hub is v_{i'}
+            swap(71, 5, 72, 0), // hub is v_{j'}
+            swap(2, 0, 71, 5),  // hub is v_j
+            swap(0, 4, 72, 5),
+        ];
+        assert_eq!(assert_deltas_match_reference(&g, &swaps), swaps.len());
+    }
+
+    #[test]
+    fn closed_form_matches_reference_on_random_swaps() {
+        let mut g = social(20);
+        let mut rng = Xoshiro256pp::seed_from_u64(21);
+        let n = g.num_nodes();
+        for _ in 0..8 {
+            let u = rng.gen_range(n) as NodeId;
+            g.add_edge(u, u);
+            let v = rng.gen_range(n) as NodeId;
+            let w = rng.gen_range(n) as NodeId;
+            g.add_edge(v, w);
+        }
+        // A hub with more than SMALL_THRESHOLD distinct neighbours.
+        for v in 1..=80 {
+            g.add_edge(0, v);
+        }
+        let idx = MultiplicityIndex::build(&g);
+        assert!(idx.sorted_entries(0).is_none());
+        let edges: Vec<_> = g.edges().collect();
+        let oriented = |rng: &mut Xoshiro256pp| {
+            let (a, b) = edges[rng.gen_range(edges.len())];
+            if rng.gen_range(2) == 0 {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        };
+        let mut swaps = Vec::new();
+        while swaps.len() < 20_000 {
+            let (vi, vj) = oriented(&mut rng);
+            let (vi2, vj2) = oriented(&mut rng);
+            // The structural filter of `pick_swap`.
+            if vi != vj2 && vi2 != vj && vj != vj2 {
+                swaps.push(swap(vi, vj, vi2, vj2));
+            }
+        }
+        let count = |f: &dyn Fn(&SwapPick) -> bool| swaps.iter().filter(|p| f(p)).count();
+        assert!(count(&|p| p.vi == 0 || p.vj == 0) > 100);
+        assert!(count(&|p| p.vi == p.vj || p.vi2 == p.vj2) > 100);
+        assert!(count(&|p| p.vi == p.vi2) > 10);
+        assert!(count(&|p| p.vi != p.vi2 && idx.has_edge(p.vi, p.vi2)) > 100);
+        assert!(count(&|p| idx.has_edge(p.vj, p.vj2)) > 100);
+        assert!(assert_deltas_match_reference(&g, &swaps) > 10_000);
     }
 
     #[test]

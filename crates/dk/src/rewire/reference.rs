@@ -87,17 +87,9 @@ impl ApplyRollbackEngine {
         let Some(pick) = self.core.pick_swap(rng) else {
             return false;
         };
-        let SwapPick {
-            vi, vj, vi2, vj2, ..
-        } = pick;
-
         // Apply the four edge toggles incrementally (mutating the graph
         // and the index), tracking Δt in a per-attempt hash map.
-        let mut touched: FxHashMap<NodeId, i64> = FxHashMap::default();
-        self.toggle_edge(vi, vj, -1, &mut touched);
-        self.toggle_edge(vi2, vj2, -1, &mut touched);
-        self.toggle_edge(vi, vj2, 1, &mut touched);
-        self.toggle_edge(vi2, vj, 1, &mut touched);
+        let touched = self.apply_swap(&pick);
 
         // Shared decision fold on node-sorted deltas (bitwise-identical to
         // the evaluate-then-commit engine's).
@@ -113,13 +105,39 @@ impl ApplyRollbackEngine {
             // Reject: roll the graph and the index back with four more
             // mutating toggles (their scans are pure waste — that is the
             // point of this baseline).
-            let mut untouched: FxHashMap<NodeId, i64> = FxHashMap::default();
-            self.toggle_edge(vi, vj2, -1, &mut untouched);
-            self.toggle_edge(vi2, vj, -1, &mut untouched);
-            self.toggle_edge(vi, vj, 1, &mut untouched);
-            self.toggle_edge(vi2, vj2, 1, &mut untouched);
+            self.rollback_swap(&pick);
             false
         }
+    }
+
+    /// Applies the swap's four toggles; returns the accumulated Δt.
+    fn apply_swap(&mut self, p: &SwapPick) -> FxHashMap<NodeId, i64> {
+        let mut touched: FxHashMap<NodeId, i64> = FxHashMap::default();
+        self.toggle_edge(p.vi, p.vj, -1, &mut touched);
+        self.toggle_edge(p.vi2, p.vj2, -1, &mut touched);
+        self.toggle_edge(p.vi, p.vj2, 1, &mut touched);
+        self.toggle_edge(p.vi2, p.vj, 1, &mut touched);
+        touched
+    }
+
+    /// Undoes [`apply_swap`](Self::apply_swap) with four more toggles.
+    fn rollback_swap(&mut self, p: &SwapPick) {
+        let mut untouched: FxHashMap<NodeId, i64> = FxHashMap::default();
+        self.toggle_edge(p.vi, p.vj2, -1, &mut untouched);
+        self.toggle_edge(p.vi2, p.vj, -1, &mut untouched);
+        self.toggle_edge(p.vi, p.vj, 1, &mut untouched);
+        self.toggle_edge(p.vi2, p.vj2, 1, &mut untouched);
+    }
+
+    /// The node-sorted non-zero `(node, Δt)` list of `pick`, measured by
+    /// applying the swap and rolling it back (the state is unchanged).
+    #[cfg(test)]
+    pub(crate) fn swap_deltas(&mut self, pick: &SwapPick) -> Vec<(NodeId, i64)> {
+        let touched = self.apply_swap(pick);
+        self.rollback_swap(pick);
+        let mut pairs: Vec<(NodeId, i64)> = touched.into_iter().filter(|&(_, d)| d != 0).collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Adds (`sign = +1`) or removes (`-1`) one copy of edge `{u, v}`,

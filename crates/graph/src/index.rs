@@ -278,8 +278,10 @@ impl MultiplicityIndex {
     /// neighbor** `w` of `x` and `y` (i.e. `A_xw > 0` and `A_yw > 0`).
     /// Visit order is unspecified, like [`entries`](Self::entries).
     ///
-    /// This is the hot kernel of the rewiring engines' swap evaluation
-    /// (four common-neighbor scans per attempt). Representation-aware:
+    /// This is the hot kernel of the rewiring engine's swap evaluation:
+    /// one raw scan per pair whose multiplicity the swap changes (at most
+    /// four per attempt), read against the unmodified index.
+    /// Representation-aware:
     ///
     /// * both nodes sorted (the overwhelmingly common case under
     ///   [`SMALL_THRESHOLD`]) — a branchless [`merge_common`] over the two

@@ -28,12 +28,22 @@
 //! already queued or running — exceeds the configured budget, the job
 //! is rejected with [`ERR_REJECTED`] at submit time, when the client
 //! can still react, rather than OOM-killing the server later.
+//!
+//! ## Panic containment
+//!
+//! A panic inside one job's pipeline ends that job `Failed` with the
+//! panic message and releases its reservation; the worker thread lives
+//! on and takes the next job. The job table recovers from mutex
+//! poisoning instead of propagating it, so a panic while the lock is
+//! held cannot wedge the handlers or the other workers either.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::{self, Cursor};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use sgr_core::{
@@ -147,6 +157,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Locks the job table, recovering it if a panicking thread held the
+    /// lock: every update under it is a plain field write that leaves the
+    /// table consistent.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Releases a finishing job's admission estimate.
     fn release(&self, st: &mut State, id: u64) {
         if let Some(rec) = st.jobs.get_mut(&id) {
@@ -288,7 +305,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let Ok((stream, _)) = listener.accept() else {
             continue;
         };
-        if shared.state.lock().unwrap().shutdown {
+        if shared.lock().shutdown {
             // The self-connect from the shutdown handler (or any
             // straggler) lands here; stop accepting.
             return;
@@ -357,7 +374,7 @@ fn handle_request(
         },
         REQ_STATUS => match decode_job_id(payload) {
             Ok(id) => {
-                let st = shared.state.lock().unwrap();
+                let st = shared.lock();
                 match st.jobs.get(&id) {
                     Some(rec) => {
                         let status = rec.status(id);
@@ -378,7 +395,7 @@ fn handle_request(
             ),
         },
         REQ_LIST => {
-            let st = shared.state.lock().unwrap();
+            let st = shared.lock();
             let list: Vec<JobStatus> = st.jobs.iter().map(|(id, r)| r.status(*id)).collect();
             drop(st);
             write_frame(stream, RESP_JOBS, &JobStatus::encode_list(&list))
@@ -386,7 +403,7 @@ fn handle_request(
         REQ_FETCH => match decode_job_id(payload) {
             Ok(id) => {
                 let state = {
-                    let st = shared.state.lock().unwrap();
+                    let st = shared.lock();
                     st.jobs.get(&id).map(|r| r.state)
                 };
                 match state {
@@ -424,7 +441,7 @@ fn handle_request(
         },
         REQ_SHUTDOWN => {
             {
-                let mut st = shared.state.lock().unwrap();
+                let mut st = shared.lock();
                 st.shutdown = true;
             }
             shared.cv.notify_all();
@@ -450,7 +467,7 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     drop(g);
 
     let id = {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         if st.shutdown {
             return Err((ERR_SHUTTING_DOWN, "server is shutting down".into()));
         }
@@ -478,7 +495,7 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let persisted = std::fs::create_dir_all(ckpt_dir(&dir))
         .map_err(|e| e.to_string())
         .and_then(|()| spec.persist(&dir).map_err(|e| e.to_string()));
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
     if let Err(e) = persisted {
         st.committed = st.committed.saturating_sub(estimate);
         return Err((ERR_INTERNAL, format!("persisting job spec: {e}")));
@@ -527,7 +544,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     let mut scratch = ConstructScratch::new();
     loop {
         let (id, spec, resume_from) = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
@@ -539,10 +556,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let resume_from = rec.resume_from.take();
                     break (id, spec, resume_from);
                 }
-                st = shared.cv.wait(st).unwrap();
+                st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        run_job(shared, id, spec, resume_from, &mut scratch);
+        let dir = job_dir(&shared.cfg.dir, id);
+        run_job(shared, id, &dir, &mut scratch, |scratch| {
+            execute(shared, id, &spec, resume_from, &dir, scratch)
+        });
     }
 }
 
@@ -554,7 +574,7 @@ struct StatusObserver<'a> {
 
 impl StatusObserver<'_> {
     fn update(&mut self, f: impl FnOnce(&mut JobRecord)) {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         if let Some(rec) = st.jobs.get_mut(&self.id) {
             f(rec);
         }
@@ -583,64 +603,79 @@ impl PipelineObserver for StatusObserver<'_> {
     }
 }
 
-/// Runs one job to a terminal (or interrupted) state and records the
-/// outcome, in memory and — for terminal states — on disk.
+/// Runs one job (`exec`, the pipeline on the worker's `scratch`) to a
+/// terminal (or interrupted) state and records the outcome, in memory
+/// and — for terminal states — on disk.
+///
+/// A panic in `exec` is contained: the job ends `Failed` with the panic
+/// message, and `scratch`, which the unwound pipeline may have left
+/// half-written, is replaced with a fresh one before the worker goes on.
 fn run_job(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: u64,
-    spec: JobSpec,
-    resume_from: Option<PathBuf>,
+    dir: &Path,
     scratch: &mut ConstructScratch,
+    exec: impl FnOnce(&mut ConstructScratch) -> Result<Restored, RestoreError>,
 ) {
-    let dir = job_dir(&shared.cfg.dir, id);
-    let result = execute(shared, id, &spec, resume_from, &dir, scratch);
-    let mut st = shared.state.lock().unwrap();
+    let result = panic::catch_unwind(AssertUnwindSafe(|| exec(scratch)));
+    if result.is_err() {
+        *scratch = ConstructScratch::new();
+    }
+    let mut st = shared.lock();
     shared.release(&mut st, id);
     let Some(rec) = st.jobs.get_mut(&id) else {
         return;
     };
-    match result {
-        Ok(restored) => {
+    rec.message = match result {
+        Ok(Ok(restored)) => {
             rec.state = JobState::Completed;
             rec.nodes = restored.stats.nodes as u64;
             rec.edges = restored.stats.edges as u64;
             rec.attempts_done = restored.stats.rewire_stats.attempts;
             rec.attempts_total = restored.stats.rewire_stats.attempts;
             rec.checkpoints = restored.stats.checkpoints_written;
+            return;
         }
-        Err(RestoreError::Interrupted { checkpoint }) => {
+        Ok(Err(RestoreError::Interrupted { checkpoint })) => {
             // The fault-injection hook fired: a simulated crash. Nothing
             // terminal is persisted — exactly like a real kill, the job
             // stays adoptable from its durable checkpoint.
             rec.state = JobState::Interrupted;
             rec.message = format!("interrupted at {}", checkpoint.display());
-        }
-        Err(e) => {
-            rec.state = JobState::Failed;
-            rec.message = e.to_string();
-            let terminal = TerminalStatus {
-                state: JobState::Failed,
-                message: rec.message.clone(),
-                nodes: 0,
-                edges: 0,
-                attempts: rec.attempts_done,
-                checkpoints: rec.checkpoints,
-            };
-            drop(st);
-            if let Err(e) = terminal.persist(&dir) {
-                eprintln!("sgr serve: persisting failure status for job {id}: {e}");
-            }
             return;
         }
-    }
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => format!("job panicked: {}", panic_message(payload.as_ref())),
+    };
+    rec.state = JobState::Failed;
+    let terminal = TerminalStatus {
+        state: JobState::Failed,
+        message: rec.message.clone(),
+        nodes: 0,
+        edges: 0,
+        attempts: rec.attempts_done,
+        checkpoints: rec.checkpoints,
+    };
     drop(st);
+    if let Err(e) = terminal.persist(dir) {
+        eprintln!("sgr serve: persisting failure status for job {id}: {e}");
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// The pipeline proper: replays exactly the `sgr restore` code path
 /// (edge list → seeded RNG → crawl → staged restoration), then persists
 /// the result snapshot and the terminal status, in that order.
 fn execute(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: u64,
     spec: &JobSpec,
     resume_from: Option<PathBuf>,
@@ -700,4 +735,118 @@ fn execute(
     }
     .persist(dir)?;
     Ok(restored)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sgr_graph::io::write_edge_list;
+
+    fn running(seq: u64, estimate: u64) -> JobRecord {
+        JobRecord {
+            tenant: "t".into(),
+            state: JobState::Running,
+            stage: String::new(),
+            attempts_done: 0,
+            attempts_total: 0,
+            checkpoints: 0,
+            nodes: 0,
+            edges: 0,
+            message: String::new(),
+            spec: None,
+            resume_from: None,
+            seq,
+            estimate,
+        }
+    }
+
+    fn small_spec() -> JobSpec {
+        let g = sgr_gen::holme_kim(200, 3, 0.5, &mut Xoshiro256pp::seed_from_u64(5)).unwrap();
+        let mut edges = Vec::new();
+        write_edge_list(&g, &mut edges).unwrap();
+        let req = SubmitRequest {
+            tenant: "t".into(),
+            walk_code: sgr_sample::WalkKind::RandomWalk.code(),
+            fraction: 0.2,
+            snowball_k: 50,
+            burn_prob: 0.7,
+            rewiring_coefficient: 2.0,
+            rewire: true,
+            threads: 1,
+            seed: 9,
+            checkpoint_every: 0,
+            abort_after: 0,
+            edges,
+        };
+        JobSpec::from_request(req, 1_000).unwrap()
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_worker_runs_the_next() {
+        let root = std::env::temp_dir().join(format!("sgr-server-panic-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let (dir1, dir2) = (job_dir(&root, 1), job_dir(&root, 2));
+        for dir in [&dir1, &dir2] {
+            std::fs::create_dir_all(ckpt_dir(dir)).unwrap();
+        }
+        let spec = small_spec();
+        let shared = Shared {
+            cfg: ServeConfig {
+                dir: root.clone(),
+                ..ServeConfig::default()
+            },
+            addr: "127.0.0.1:0".parse().unwrap(),
+            state: Mutex::new(State {
+                jobs: BTreeMap::from([(1, running(0, 700)), (2, running(1, 300))]),
+                next_id: 3,
+                next_seq: 2,
+                committed: 1_000,
+                shutdown: false,
+            }),
+            cv: Condvar::new(),
+        };
+        let mut scratch = ConstructScratch::new();
+
+        // Job 1 panics while holding the job-table lock, poisoning it.
+        run_job(&shared, 1, &dir1, &mut scratch, |_| {
+            let _st = shared.lock();
+            panic!("injected failure in job {}", 1)
+        });
+        assert!(shared.state.is_poisoned());
+        let want = "job panicked: injected failure in job 1";
+        {
+            let st = shared.lock();
+            assert_eq!(st.jobs[&1].state, JobState::Failed);
+            assert_eq!(st.jobs[&1].message, want);
+            assert_eq!(st.committed, 300, "job 1's reservation was not released");
+        }
+        let terminal = TerminalStatus::load(&dir1)
+            .unwrap()
+            .expect("terminal status persisted");
+        assert_eq!(
+            (terminal.state, terminal.message.as_str()),
+            (JobState::Failed, want)
+        );
+
+        // The same worker state then runs job 2 through the real pipeline.
+        run_job(&shared, 2, &dir2, &mut scratch, |scratch| {
+            execute(&shared, 2, &spec, None, &dir2, scratch)
+        });
+        {
+            let st = shared.lock();
+            assert_eq!(
+                st.jobs[&2].state,
+                JobState::Completed,
+                "{}",
+                st.jobs[&2].message
+            );
+            assert!(st.jobs[&2].nodes > 0);
+            assert_eq!(st.committed, 0);
+        }
+        let terminal = TerminalStatus::load(&dir2)
+            .unwrap()
+            .expect("terminal status persisted");
+        assert_eq!(terminal.state, JobState::Completed);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }
