@@ -62,10 +62,14 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with the default frame cap.
+    /// Connects with the default frame cap. The stream sets
+    /// `TCP_NODELAY`, so a request leaves at once instead of waiting on
+    /// the ACK of the previous one.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            stream: TcpStream::connect(addr)?,
+            stream,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         })
     }
@@ -131,5 +135,18 @@ impl Client {
             (RESP_SHUTDOWN_OK, _) => Ok(()),
             (t, _) => Err(ClientError::Unexpected(t)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
     }
 }

@@ -35,6 +35,17 @@
 //! and at worst closes that one connection; it never takes down the
 //! server or other clients' jobs.
 //!
+//! Each frame leaves in a single write ([`protocol::write_frame`] copies
+//! header and payload into one buffer), and both ends set `TCP_NODELAY`
+//! ([`Client::connect`] and every accepted connection). A frame written
+//! as header and payload separately, on a socket with Nagle's algorithm
+//! on, held its second segment until the peer's delayed ACK, about
+//! 40 ms, on nearly every request and every response. On a 2-CPU host,
+//! 100 sequential `list` calls over one loopback connection took 4.4 s
+//! that way and take 3–4 ms now. Under the benchmark's open-loop mix of
+//! 2,000-node jobs (`perfbench`, `served_mix`), the median served job
+//! latency fell from 0.238 s to 0.086 s (medians over 10 seeds).
+//!
 //! ## Durability model
 //!
 //! The state root holds one directory per job (see [`job`]). Every file

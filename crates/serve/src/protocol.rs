@@ -149,14 +149,17 @@ impl From<SnapshotError> for ProtocolError {
     }
 }
 
-/// Writes one frame.
+/// Writes one frame with a single `write_all`: header and payload are
+/// copied into one buffer first. Split into two writes, a frame's second
+/// segment waits under Nagle's algorithm for the peer's delayed ACK
+/// (~40 ms) whenever the socket does not set `TCP_NODELAY`.
 pub fn write_frame<W: Write>(w: &mut W, frame_type: u32, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4..8].copy_from_slice(&frame_type.to_le_bytes());
-    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(&FRAME_MAGIC);
+    frame.extend_from_slice(&frame_type.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -332,6 +335,10 @@ impl JobState {
     }
 }
 
+/// Encoded size of a [`JobStatus`] whose strings are all empty: the id,
+/// three string lengths, the state code and five counters.
+const JOB_STATUS_MIN_BYTES: usize = 8 + 3 * 8 + 4 + 5 * 8;
+
 /// One job's status as reported by [`RESP_STATUS`] / [`RESP_JOBS`].
 #[derive(Clone, Debug)]
 pub struct JobStatus {
@@ -423,9 +430,10 @@ impl JobStatus {
         let n = r.get_u64()?;
         let n = usize::try_from(n)
             .map_err(|_| ProtocolError::Malformed("job count overflows usize".into()))?;
-        if n > bytes.len() {
-            // Each entry needs well over one byte; an impossible count is
-            // a malformed payload, not an allocation request.
+        if n > (bytes.len() - 8) / JOB_STATUS_MIN_BYTES {
+            // Each entry takes at least JOB_STATUS_MIN_BYTES, so a count
+            // the payload cannot hold is malformed, and the list below is
+            // never reserved past what the payload can fill.
             return Err(ProtocolError::Malformed(format!(
                 "job count {n} exceeds payload size"
             )));
@@ -487,6 +495,43 @@ mod tests {
         assert_eq!(p, b"hello");
         // Clean EOF between frames.
         assert!(read_frame(&mut c, 1024).unwrap().is_none());
+    }
+
+    /// Records every non-empty `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !buf.is_empty() {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        for len in [0usize, 8, 64 << 10] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, RESP_SNAPSHOT, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            assert_eq!(w.bytes.len(), FRAME_HEADER_LEN + len);
+            let (t, p) = read_frame(&mut Cursor::new(w.bytes), len as u64)
+                .unwrap()
+                .unwrap();
+            assert_eq!(t, RESP_SNAPSHOT);
+            assert_eq!(p, payload);
+        }
     }
 
     #[test]
@@ -570,6 +615,28 @@ mod tests {
         let mut w = PayloadWriter::new();
         w.put_u64(u64::MAX);
         assert!(JobStatus::decode_list(&w.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn list_count_bound_is_the_smallest_status_encoding() {
+        let empty = JobStatus {
+            id: 1,
+            tenant: String::new(),
+            state: JobState::Queued,
+            stage: String::new(),
+            attempts_done: 0,
+            attempts_total: 0,
+            checkpoints: 0,
+            nodes: 0,
+            edges: 0,
+            message: String::new(),
+        };
+        assert_eq!(empty.encode().len(), JOB_STATUS_MIN_BYTES);
+        // A count the payload holds exactly decodes; one more does not.
+        let mut bytes = JobStatus::encode_list(&[empty.clone(), empty]);
+        assert_eq!(JobStatus::decode_list(&bytes).unwrap().len(), 2);
+        bytes[..8].copy_from_slice(&3u64.to_le_bytes());
+        assert!(JobStatus::decode_list(&bytes).is_err());
     }
 
     #[test]

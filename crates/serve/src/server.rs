@@ -45,6 +45,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use sgr_core::{
     restore_with_checkpoints_observed, resume_from_checkpoint_observed, CheckpointPolicy,
@@ -300,21 +301,37 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     Ok(ServerHandle { addr, threads })
 }
 
+/// How long the acceptor backs off after a failed `accept` (for
+/// example EMFILE under a connection flood) before it retries, so a
+/// persistent error does not pin a core the workers need.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            continue;
-        };
+        let accepted = accept_conn(listener);
         if shared.lock().shutdown {
             // The self-connect from the shutdown handler (or any
             // straggler) lands here; stop accepting.
             return;
         }
+        let Ok(stream) = accepted else {
+            std::thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
         let shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("sgr-serve-conn".into())
             .spawn(move || handle_connection(stream, &shared));
     }
+}
+
+/// Accepts one connection and sets `TCP_NODELAY` on it, so a response
+/// frame leaves at once instead of waiting on the client's delayed ACK.
+/// Failing to set it is not fatal: responses then still arrive, later.
+fn accept_conn(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// Serves one connection until the peer closes it or framing breaks.
@@ -848,5 +865,13 @@ mod tests {
             .expect("terminal status persisted");
         assert_eq!(terminal.state, JobState::Completed);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn accepted_connections_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let stream = accept_conn(&listener).unwrap();
+        assert!(stream.nodelay().unwrap());
     }
 }

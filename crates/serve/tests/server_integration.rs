@@ -396,3 +396,46 @@ fn empty_graph_job_fails_and_the_next_job_completes() {
     handle.join();
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// Small request/response round trips on one connection finish in well
+/// under a millisecond each on loopback. When a frame was split into two
+/// writes on a socket without `TCP_NODELAY`, each request or response
+/// waited ~40 ms for a delayed ACK: 100 `list` calls took 4.4 s and 100
+/// failing `status` calls 8.8 s. The 1 s bound leaves room for a slow
+/// host.
+#[test]
+fn round_trips_do_not_wait_on_delayed_acks() {
+    let root = state_root("round-trips");
+    let cfg = ServeConfig {
+        workers: 1,
+        ..serve_cfg(root.clone())
+    };
+    let handle = sgr_serve::start(cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let start = Instant::now();
+    for _ in 0..100 {
+        assert!(client.list().unwrap().is_empty());
+    }
+    let lists = start.elapsed();
+
+    let start = Instant::now();
+    for _ in 0..100 {
+        match client.status(424242) {
+            Err(ClientError::Server { code, .. }) => {
+                assert_eq!(code, sgr_serve::protocol::ERR_UNKNOWN_JOB)
+            }
+            other => panic!("status of unknown job: {other:?}"),
+        }
+    }
+    let statuses = start.elapsed();
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+    assert!(lists < Duration::from_secs(1), "100 lists took {lists:?}");
+    assert!(
+        statuses < Duration::from_secs(1),
+        "100 unknown-job statuses took {statuses:?}"
+    );
+}
